@@ -98,6 +98,17 @@ class RunConfig:
         return parse_potential(self.potential)
 
     def validate(self) -> None:
+        """Every check, including the pullback route's potential restriction."""
+        self._validate_common()
+        potential = self.resolved_potential()
+        if self.route == "pullback" and not (potential.is_free or potential.is_unit_oscillator):
+            raise InvalidInputError(
+                "pullback route supports only the free particle (alpha=0, beta=0) "
+                "and the unit oscillator (alpha=0, beta=0.5)"
+            )
+
+    def _validate_common(self) -> None:
+        """Checks that hold whichever subcommand runs."""
         for name, count in (
             ("x_count", self.x_count),
             ("theta_count", self.theta_count),
@@ -109,12 +120,7 @@ class RunConfig:
             raise InvalidInputError(f"route must be one of {_ROUTES}, got {self.route!r}")
         if self.output_format not in ("csv", "json"):
             raise InvalidInputError(f"output format must be csv or json, got {self.output_format!r}")
-        potential = self.resolved_potential()
-        if self.route == "pullback" and not (potential.is_free or potential.is_unit_oscillator):
-            raise InvalidInputError(
-                "pullback route supports only the free particle (alpha=0, beta=0) "
-                "and the unit oscillator (alpha=0, beta=0.5)"
-            )
+        self.resolved_potential()
         parse_state_spec(self.state)
 
 
@@ -132,7 +138,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             merged[name] = value
     config = RunConfig(**merged)
-    config.validate()
+    # only `evolve` follows a route; the default route must not restrict the others
+    if args.command == "evolve":
+        config.validate()
+    else:
+        config._validate_common()
     return config
 
 

@@ -11,8 +11,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .errors import InvalidInputError, NumericalDomainError
+
+_OVERSAMPLE = 2.5
+MAX_FINE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -91,3 +95,49 @@ def damped_integral_2d(f, grid_z: UniformGrid, grid_a: UniformGrid, damping: flo
     wz = trapezoid_weights(grid_z.count, grid_z.step)
     wa = trapezoid_weights(grid_a.count, grid_a.step)
     return complex(wz @ vals @ wa)
+
+
+def fft_upsample(values, count: int, axis: int = -1) -> np.ndarray:
+    """Band-limited upsampling of periodic samples to `count` points along `axis`.
+
+    Zero-pads the spectrum; for an even input length the Nyquist bin is
+    split evenly between +/- Nyquist, as scipy.signal.resample does.  Real
+    input gives real output.
+    """
+    values = np.moveaxis(np.asarray(values), axis, -1)
+    n = values.shape[-1]
+    if count < n:
+        raise InvalidInputError(f"cannot upsample {n} samples to {count}")
+    half = n // 2 + 1  # non-negative frequency bins, Nyquist included
+    if np.iscomplexobj(values):
+        spec = scipy.fft.fft(values)
+        padded = np.zeros(values.shape[:-1] + (count,), dtype=spec.dtype)
+        padded[..., :half] = spec[..., :half]
+        padded[..., count - (n - half):] = spec[..., half:]
+        if n % 2 == 0 and count > n:
+            padded[..., n // 2] *= 0.5
+            padded[..., count - n // 2] = padded[..., n // 2]
+        out = scipy.fft.ifft(padded * (count / n))
+    else:
+        spec = scipy.fft.rfft(values)
+        if n % 2 == 0 and count > n:
+            spec[..., n // 2] *= 0.5
+        out = scipy.fft.irfft(spec * (count / n), n=count)
+    return np.moveaxis(out, -1, axis)
+
+
+def refine_samples(grid: UniformGrid, values, max_freq: float, axis: int = -1):
+    """FFT-upsample samples on `grid` so the step resolves phases up to max_freq rad/unit.
+
+    Returns (fine positions, fine values, fine step).  Valid because the
+    sampled functions decay below 1e-10 at the grid boundary, making the
+    periodic extension smooth.  The fine count is capped at MAX_FINE.
+    """
+    n = grid.count
+    period = n * grid.step
+    needed = int(np.ceil(period * max_freq * _OVERSAMPLE / (2.0 * np.pi)))
+    n_fine = min(max(n, needed), MAX_FINE)
+    if n_fine == n:
+        return grid.points, values, grid.step
+    step = period / n_fine
+    return grid.lower + step * np.arange(n_fine), fft_upsample(values, n_fine, axis), step

@@ -63,7 +63,8 @@ def evolve_via_green(
     G rho G^dagger by quadrature -> tomogram (spectral forward transform).
     The reconstructed density matrix is renormalized to unit trace before
     propagation, since the exact evolution is trace preserving.  t = 0 is
-    special-cased to the identity chain.
+    special-cased to the identity chain.  The inverse stage's mu_band,
+    mu_edge_ratio and accuracy_warning join the returned tomogram's meta.
     """
     rho = density_from_tomogram(tomo, work_grid)
     vals = rho.values / rho.trace()
@@ -79,7 +80,11 @@ def evolve_via_green(
             work_grid.count, work_grid.step
         ))
     rho_t = DensityMatrix(grid=work_grid, values=vals, meta=dict(rho.meta))
-    return tomogram_from_density(rho_t, tomo.x_grid, tomo.theta_grid)
+    evolved = tomogram_from_density(rho_t, tomo.x_grid, tomo.theta_grid)
+    evolved.meta.update(
+        (key, rho.meta[key]) for key in ("mu_band", "mu_edge_ratio", "accuracy_warning")
+    )
+    return evolved
 
 
 @dataclass(frozen=True)

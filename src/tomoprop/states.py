@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import resample
 
 from .errors import InvalidInputError, UnsupportedStateError
 from .greens import GreenFunction
-from .grids import UniformGrid, integrate_samples, trapezoid_weights
+from .grids import UniformGrid, integrate_samples, refine_samples, trapezoid_weights
 
 DEFAULT_POSITION_GRID = UniformGrid(-12.0, 12.0, 512)
 MAX_HERMITE_INDEX = 32
@@ -46,27 +46,39 @@ class Superposition:
 StateSpec = HarmonicEigenstate | GaussianPacket | Superposition
 
 
+# a "+" separates superposition terms unless it is an exponent sign, as in 1e+2
+_TERM_SPLIT = re.compile(r"(?<![0-9.][eE])\+")
+
+
+def _number(text: str, kind, spec: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidInputError(f"malformed number {text!r} in state spec {spec!r}") from None
+
+
 def parse_state_spec(text: str) -> StateSpec:
     """Parse CLI-style state descriptors.
 
     Accepts "ho_ground", "ho:<n>", "gaussian:<x0>,<p0>,<sigma>", and
-    "super:<c0>*<spec>+<c1>*<spec>" with real coefficients.
+    "super:<c0>*<spec>+<c1>*<spec>" with real coefficients.  Malformed
+    numbers raise InvalidInputError.
     """
     text = text.strip()
     if text == "ho_ground":
         return HarmonicEigenstate(0)
     if text.startswith("ho:"):
-        return HarmonicEigenstate(int(text[3:]))
+        return HarmonicEigenstate(_number(text[3:], int, text))
     if text.startswith("gaussian:"):
-        parts = [float(p) for p in text[len("gaussian:"):].split(",")]
+        parts = [_number(p, float, text) for p in text[len("gaussian:"):].split(",")]
         if len(parts) != 3:
             raise InvalidInputError(f"gaussian spec needs x0,p0,sigma: {text!r}")
         return GaussianPacket(*parts)
     if text.startswith("super:"):
         terms = []
-        for chunk in text[len("super:"):].split("+"):
+        for chunk in _TERM_SPLIT.split(text[len("super:"):]):
             coeff_text, _, inner = chunk.partition("*")
-            terms.append((float(coeff_text), parse_state_spec(inner)))
+            terms.append((_number(coeff_text, float, text), parse_state_spec(inner)))
         return Superposition(tuple(terms))
     raise InvalidInputError(f"unknown state spec {text!r}")
 
@@ -189,28 +201,6 @@ def density_from_wavefunction(psi: WaveFunction) -> DensityMatrix:
 
 # --- evolution ---------------------------------------------------------------
 
-_OVERSAMPLE = 2.5
-_MAX_FINE = 1 << 18
-
-
-def refined_samples(psi: WaveFunction, max_freq: float):
-    """FFT-upsample psi so the grid resolves phases up to max_freq rad/unit.
-
-    Returns (fine positions, fine values, fine step).  Valid because states
-    decay below 1e-10 at the grid boundary, making the periodic extension
-    smooth.
-    """
-    n = psi.grid.count
-    period = n * psi.grid.step
-    needed = int(np.ceil(period * max_freq * _OVERSAMPLE / (2.0 * np.pi)))
-    n_fine = min(max(n, needed), _MAX_FINE)
-    if n_fine == n:
-        return psi.grid.points, psi.values, psi.grid.step
-    vals = resample(psi.values, n_fine)
-    step = period / n_fine
-    y = psi.grid.lower + step * np.arange(n_fine)
-    return y, vals, step
-
 
 def evolve_wavefunction(
     psi: WaveFunction,
@@ -237,7 +227,7 @@ def evolve_wavefunction(
     green.check_time(t)
     xmax = max(abs(psi.grid.lower), abs(psi.grid.upper))
     rate = green.phase_rate_bound(xmax, xmax, t)
-    y, vals, step = refined_samples(psi, rate)
+    y, vals, step = refine_samples(psi.grid, psi.values, rate)
     x = psi.grid.points
     out = np.zeros(x.size, dtype=np.complex128)
     w = trapezoid_weights(y.size, step)

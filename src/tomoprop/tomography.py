@@ -12,20 +12,24 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 from scipy.interpolate import CubicSpline
-from scipy.signal import resample
 
 from .errors import InvalidFrameError, InvalidInputError
-from .grids import UniformGrid, integrate_samples, trapezoid_weights
+from .grids import (
+    MAX_FINE,
+    UniformGrid,
+    fft_upsample,
+    integrate_samples,
+    refine_samples,
+    trapezoid_weights,
+)
 from .states import DensityMatrix, WaveFunction
 
 EPS_THETA = 1e-3
 DEFAULT_X_GRID = UniformGrid(-14.0, 14.0, 351)
 DEFAULT_THETA_COUNT = 180
 CONVENTION_VERSION = "tomoprop-conventions-1"
-
-_OVERSAMPLE = 2.5
-_MAX_FINE = 1 << 18
 
 
 def angle_grid(count: int = DEFAULT_THETA_COUNT) -> UniformGrid:
@@ -194,8 +198,8 @@ def _transform_state_batch(
             if limit_splines is None:
                 # spline an upsampled copy so the interpolation error stays
                 # far below the quadrature error of the oscillatory slices
-                n_fine = min(8 * n_pos, _MAX_FINE)
-                fine = resample(states, n_fine, axis=1)
+                n_fine = min(8 * n_pos, MAX_FINE)
+                fine = fft_upsample(states, n_fine, axis=1)
                 y_fine = grid.lower + (period / n_fine) * np.arange(n_fine)
                 limit_splines = CubicSpline(y_fine, fine, axis=1)
             q = X / mu
@@ -204,16 +208,7 @@ def _transform_state_batch(
             out[j] = weights @ (np.abs(vals) ** 2) / abs(mu)
             continue
         max_freq = (abs(mu) * ymax + xabs) / abs(nu)
-        needed = int(np.ceil(period * max_freq * _OVERSAMPLE / (2.0 * np.pi)))
-        n_fine = min(max(n_pos, needed), _MAX_FINE)
-        if n_fine == n_pos:
-            y = grid.points
-            fine = states
-            step = grid.step
-        else:
-            fine = resample(states, n_fine, axis=1)
-            step = period / n_fine
-            y = grid.lower + step * np.arange(n_fine)
+        y, fine, step = refine_samples(grid, states, max_freq, axis=1)
         chirped = fine * np.exp(0.5j * mu * y**2 / nu) * step
         amp = np.zeros((states.shape[0], X.size), dtype=np.complex128)
         chunk = 1 << 13
@@ -315,11 +310,41 @@ def _slice_characteristic(
     Reduced by homogeneity to the characteristic function of the stored
     theta slices: K = chi_theta(+-s) with chi_theta(f) = int w(u, theta)
     exp(i f u) du, interpolated linearly between stored slices.
+
+    The trapezoid sum chi_j(f) = exp(i f u_K) Q_j(f), centred on the slice's
+    mean sample K = K_j, has Q_j(g) = sum_k wu_k w_jk exp(i g (u_k - u_K))
+    periodic in g with period 2 pi / h because k - K is an integer.  One
+    zero-padded FFT per slice tabulates Q_j on a uniform lattice over that
+    period; each frame wraps its f into the period and reads Q_j by 4-point
+    cubic Lagrange interpolation (about 1e-9 against the dense sum).
     """
-    u = tomo.x_grid.points
-    wu = trapezoid_weights(tomo.x_grid.count, tomo.x_grid.step)
-    V = tomo.values
     n = tomo.theta_grid.count
+    count = tomo.x_grid.count
+    pad = 1 << (16 * count - 1).bit_length()  # smallest power of two >= 16 count
+    weighted = tomo.values * trapezoid_weights(count, tomo.x_grid.step)
+    k = np.arange(count)
+    # any integer K_j is exact; the slice's mean sample keeps Q_j slowly varying
+    mass = np.maximum(weighted.sum(axis=1), np.finfo(float).tiny)
+    centre = np.rint(weighted @ k / mass).astype(int)
+    # sample k sits at index K_j - k, so the forward FFT (sign -) sums exp(+i g (u_k - u_K))
+    coeffs = np.zeros((n, pad))
+    coeffs[np.arange(n)[:, None], (centre[:, None] - k) % pad] = weighted
+    table = scipy.fft.fft(coeffs, axis=1)
+    lattice_per_freq = pad * tomo.x_grid.step / (2.0 * np.pi)
+    u_centre = tomo.x_grid.points[centre]
+
+    def chi(rows: np.ndarray, freq: np.ndarray) -> np.ndarray:
+        pos = np.mod(freq * lattice_per_freq, pad)
+        l0 = np.floor(pos).astype(int)
+        t = pos - l0
+        q = (
+            -t * (t - 1.0) * (t - 2.0) / 6.0 * table[rows, (l0 - 1) % pad]
+            + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * table[rows, l0 % pad]
+            - (t + 1.0) * t * (t - 2.0) / 2.0 * table[rows, (l0 + 1) % pad]
+            + (t + 1.0) * t * (t - 1.0) / 6.0 * table[rows, (l0 + 2) % pad]
+        )
+        return q * np.exp(1j * freq * u_centre[rows])
+
     dtheta = np.pi / n
 
     mu = mu.ravel()
@@ -339,13 +364,11 @@ def _slice_characteristic(
     j1 = np.where(wrap, 0, j1)
 
     out = np.empty(mu.size, dtype=np.complex128)
-    chunk = 4096
+    chunk = 1 << 16
     for lo in range(0, mu.size, chunk):
         hi = min(lo + chunk, mu.size)
-        E0 = np.exp(1j * freq[lo:hi, None] * u[None, :]) * wu
-        chi0 = np.einsum("qu,qu->q", V[j0[lo:hi]], E0)
-        E1 = np.exp(1j * f1[lo:hi, None] * u[None, :]) * wu
-        chi1 = np.einsum("qu,qu->q", V[j1[lo:hi]], E1)
+        chi0 = chi(j0[lo:hi], freq[lo:hi])
+        chi1 = chi(j1[lo:hi], f1[lo:hi])
         out[lo:hi] = (1.0 - frac[lo:hi]) * chi0 + frac[lo:hi] * chi1
     out[s == 0] = 1.0  # chi_theta(0) = 1 for every theta by normalization
     return out

@@ -174,3 +174,35 @@ def test_byte_identical_reruns(tmp_path, capsys):
     run(args + ["-o", str(a)], capsys)
     run(args + ["-o", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["green", "--kind", "van-fleck", "--pos-count", "32"],
+        ["kernel", "--k", "1"],
+    ],
+    ids=["green", "kernel"],
+)
+def test_general_potential_accepted_outside_evolve(tmp_path, capsys, args):
+    # the default route is pullback, but only `evolve` follows a route
+    code, _, err = run(
+        args + ["--potential", "alpha=1,beta=0.3", "--t", "0.7", "-o", str(tmp_path / "o.csv")],
+        capsys,
+    )
+    assert code == EXIT_OK, err
+    assert (tmp_path / "o.csv").exists()
+
+
+def test_malformed_state_number_exits_2(tmp_path, capsys):
+    code, _, err = run(["tomogram", "--state", "ho:abc", "-o", str(tmp_path / "t.csv")], capsys)
+    assert code == EXIT_INVALID
+    assert json.loads(err.strip())["code"] == EXIT_INVALID
+
+
+def test_default_route_evolve_still_rejects_general_potential(tmp_path, capsys):
+    code, _, err = run(
+        ["evolve", "--potential", "alpha=1,beta=0.3", "-o", str(tmp_path / "x.csv")], capsys
+    )
+    assert code == EXIT_INVALID
+    assert "pullback route" in json.loads(err.strip())["message"]

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomoprop.errors import InvalidInputError, NumericalDomainError
-from tomoprop.grids import UniformGrid, damped_integral_2d, integrate_samples, trapezoid_weights
+from tomoprop.grids import (
+    UniformGrid,
+    damped_integral_2d,
+    fft_upsample,
+    integrate_samples,
+    refine_samples,
+    trapezoid_weights,
+)
 
 
 def test_uniform_grid_endpoints_and_step():
@@ -68,3 +75,32 @@ def test_damped_integral_flags_nonfinite():
     g = UniformGrid(-1.0, 1.0, 21)
     with pytest.raises(NumericalDomainError):
         damped_integral_2d(lambda z, a: np.nan * (z + a), g, g, 1e-3)
+
+
+@pytest.mark.parametrize("n", [31, 32])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_fft_upsample_matches_scipy_resample(n, dtype):
+    from scipy.signal import resample
+
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((3, n))
+    if dtype is complex:
+        values = values + 1j * rng.standard_normal((3, n))
+    for count in (n, n + 1, 4 * n, 4 * n + 1):
+        got = fft_upsample(values, count, axis=1)
+        expected = resample(values, count, axis=1)
+        assert got.shape == (3, count)
+        assert np.iscomplexobj(got) == (dtype is complex)
+        assert np.abs(got - expected).max() <= 1e-12
+    with pytest.raises(InvalidInputError):
+        fft_upsample(values, n - 1, axis=1)
+
+
+def test_refine_samples_resolves_requested_frequency():
+    grid = UniformGrid(-6.0, 6.0, 64)
+    values = np.exp(-grid.points**2)
+    y, fine, step = refine_samples(grid, values, 40.0)
+    assert y.size == fine.size and y[0] == grid.lower
+    assert 2.0 * np.pi / step >= 2.5 * 40.0
+    assert np.abs(fine - np.exp(-y**2)).max() < 1e-10
+    assert refine_samples(grid, values, 1.0)[1] is values

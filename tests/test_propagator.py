@@ -5,6 +5,7 @@ from tomoprop.errors import InvalidInputError, UnsupportedPotentialError
 from tomoprop.greens import FREE, OSCILLATOR, GreenFunction, Potential
 from tomoprop.grids import UniformGrid
 from tomoprop.propagator import (
+    DEFAULT_WORK_GRID,
     KernelFourierQuery,
     check_composition,
     compare_tomograms,
@@ -14,7 +15,7 @@ from tomoprop.propagator import (
     kernel_with_offset,
 )
 from tomoprop.states import GaussianPacket, evolve_wavefunction, make_state
-from tomoprop.tomography import angle_grid, tomogram_from_wavefunction
+from tomoprop.tomography import angle_grid, density_from_tomogram, tomogram_from_wavefunction
 
 X_GRID = UniformGrid(-12.0, 12.0, 241)
 THETA = angle_grid(96)
@@ -132,3 +133,12 @@ def test_compare_requires_matching_grids(packet_tomogram):
     other = tomogram_from_wavefunction(psi, UniformGrid(-8.0, 8.0, 101), angle_grid(48))
     with pytest.raises(InvalidInputError):
         compare_tomograms(packet_tomogram, other)
+
+
+def test_green_route_carries_inverse_diagnostics(packet_tomogram):
+    evolved = evolve_via_green(packet_tomogram, GreenFunction.oscillator(), 0.7)
+    rho = density_from_tomogram(packet_tomogram, DEFAULT_WORK_GRID)
+    assert evolved.meta["components"] >= 1
+    for key in ("mu_band", "mu_edge_ratio", "accuracy_warning"):
+        assert evolved.meta[key] == rho.meta[key]
+    assert evolved.meta["accuracy_warning"] is False

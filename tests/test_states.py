@@ -120,3 +120,18 @@ def test_evolve_zero_time_is_identity():
 def test_normalized_rejects_zero_function():
     with pytest.raises(InvalidInputError):
         WaveFunction.normalized(DEFAULT_POSITION_GRID, np.zeros(512))
+
+
+def test_parse_superposition_with_exponent_coefficients():
+    spec = parse_state_spec("super:1e+2*ho:0+1*ho:1")
+    assert spec.terms == ((100.0, HarmonicEigenstate(0)), (1.0, HarmonicEigenstate(1)))
+    spec = parse_state_spec("super:2.5E-1*gaussian:1e+0,0,1+1.*ho_ground")
+    assert spec.terms == ((0.25, GaussianPacket(1.0, 0.0, 1.0)), (1.0, HarmonicEigenstate(0)))
+
+
+@pytest.mark.parametrize(
+    "text", ["ho:abc", "ho:1.5", "gaussian:1,x,1", "super:a*ho:0+1*ho:1", "super:1*ho:z"]
+)
+def test_parse_malformed_numbers_raise_invalid_input(text):
+    with pytest.raises(InvalidInputError):
+        parse_state_spec(text)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tomoprop.errors import InvalidInputError
-from tomoprop.grids import UniformGrid, integrate_samples
+from tomoprop.grids import UniformGrid, integrate_samples, trapezoid_weights
 from tomoprop.states import (
     GaussianPacket,
     density_from_wavefunction,
@@ -14,6 +14,7 @@ from tomoprop.tomography import (
     DEFAULT_THETA_COUNT,
     DEFAULT_X_GRID,
     Tomogram,
+    _slice_characteristic,
     angle_grid,
     density_from_tomogram,
     optical_slice,
@@ -169,3 +170,54 @@ def test_theta_grid_convention():
     g = angle_grid(90)
     assert g.points[0] == 0.0
     assert g.points[-1] == pytest.approx(np.pi * 89 / 90)
+
+
+def _packet_tomogram_closed_form(x_grid, theta_grid, x0=1.0, p0=0.5, sigma=1.0):
+    """Exact packet tomogram: X = mu x + nu p is Gaussian with known moments."""
+    th = theta_grid.points[:, None]
+    mu, nu = np.cos(th), np.sin(th)
+    mean = mu * x0 + nu * p0
+    var = 0.5 * (mu * sigma) ** 2 + 0.5 * (nu / sigma) ** 2
+    values = np.exp(-((x_grid.points - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    return Tomogram(x_grid=x_grid, theta_grid=theta_grid, values=values)
+
+
+def dense_slice_characteristic(tomo, mu, nu):
+    """Dense trapezoid sums chi_theta(f) = sum_k wu_k w(u_k, theta) exp(i f u_k),
+    folded to the stored slices and blended linearly in theta."""
+    u = tomo.x_grid.points
+    weighted = tomo.values * trapezoid_weights(tomo.x_grid.count, tomo.x_grid.step)
+    n = tomo.theta_grid.count
+    s = np.hypot(mu, nu)
+    theta = np.arctan2(nu, mu)
+    tm = np.mod(theta, np.pi)
+    freq = np.where(np.round((theta - tm) / np.pi).astype(int) % 2 == 1, -s, s)
+    pos = tm / (np.pi / n)
+    j0 = np.minimum(pos.astype(int), n - 1)
+    frac = pos - j0
+    wrap = j0 + 1 == n
+    j1 = np.where(wrap, 0, j0 + 1)
+    f1 = np.where(wrap, -freq, freq)
+    chi0 = np.einsum("qu,qu->q", weighted[j0], np.exp(1j * freq[:, None] * u))
+    chi1 = np.einsum("qu,qu->q", weighted[j1], np.exp(1j * f1[:, None] * u))
+    return np.where(s == 0, 1.0, (1.0 - frac) * chi0 + frac * chi1)
+
+
+@pytest.mark.parametrize("packet", [(1.0, 0.5, 1.0), (3.0, -2.0, 0.6)], ids=["near", "far"])
+@pytest.mark.parametrize(
+    "x_grid",
+    [DEFAULT_X_GRID, UniformGrid(-14.0, 14.0, 350), UniformGrid(-9.0, 13.0, 200)],
+    ids=["odd", "even", "off_centre"],
+)
+def test_slice_characteristic_matches_dense_sum(x_grid, packet):
+    tomo = _packet_tomogram_closed_form(x_grid, angle_grid(DEFAULT_THETA_COUNT), *packet)
+    rng = np.random.default_rng(7)
+    # |mu| up to 45 forces the periodic wrap of the FFT table on every grid
+    mu = rng.uniform(-45.0, 45.0, 20000)
+    nu = rng.uniform(-20.0, 20.0, 20000)
+    mu[:50] = 0.0
+    nu[:50] = 0.0  # s = 0
+    nu[50:100] = 0.0  # the theta = 0 slice and its parity image
+    got = _slice_characteristic(tomo, mu, nu)
+    assert np.abs(got - dense_slice_characteristic(tomo, mu, nu)).max() < 1e-8
+    assert np.all(got[:50] == 1.0)
