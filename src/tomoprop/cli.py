@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -61,7 +62,13 @@ def parse_potential(text: str) -> Potential:
         key, _, value = chunk.partition("=")
         if key.strip() not in ("alpha", "beta") or not value:
             raise InvalidInputError(f"cannot parse potential {text!r}")
-        fields[key.strip()] = float(value)
+        try:
+            number = float(value)
+        except ValueError:
+            raise InvalidInputError(f"cannot parse potential {text!r}") from None
+        if not math.isfinite(number):
+            raise InvalidInputError(f"potential {text!r} has a non-finite coefficient")
+        fields[key.strip()] = number
     return Potential(alpha=fields.get("alpha", 0.0), beta=fields.get("beta", 0.0))
 
 
@@ -116,6 +123,8 @@ class RunConfig:
         ):
             if count < 8:
                 raise InvalidInputError(f"{name} must be at least 8, got {count}")
+        if not isinstance(self.t, (int, float)) or not math.isfinite(self.t):
+            raise InvalidInputError(f"t must be a finite number, got {self.t!r}")
         if self.route not in _ROUTES:
             raise InvalidInputError(f"route must be one of {_ROUTES}, got {self.route!r}")
         if self.output_format not in ("csv", "json"):

@@ -80,17 +80,44 @@ class Tomogram:
     def slice_norms(self) -> np.ndarray:
         return integrate_samples(self.values, self.x_grid.step)
 
+    @cached_property
+    def _segment_coeffs(self) -> np.ndarray:
+        """Spline coefficients, one row (c0, c1, c2, c3) per (slice, segment):
+        row j (n_x - 1) + seg holds the cubic of slice j on segment seg."""
+        c = self._spline.c  # (4, n_x - 1, n_theta)
+        return np.ascontiguousarray(c.transpose(2, 1, 0)).reshape(-1, 4)
+
     def _interp_rows(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Cubic-spline values of slice `rows[q]` at positions `u[q]`; 0 outside."""
         x = self.x_grid.points
-        c = self._spline.c  # (4, n_x - 1, n_theta)
-        seg = np.clip(np.searchsorted(x, u, side="right") - 1, 0, x.size - 2)
+        n_seg = x.size - 1
+        seg = np.clip(np.floor((u - x[0]) / self.x_grid.step), 0, n_seg - 1).astype(int)
         tloc = u - x[seg]
-        out = c[0, seg, rows]
-        for k in range(1, 4):
-            out = out * tloc + c[k, seg, rows]
+        c = self._segment_coeffs[rows * n_seg + seg]
+        out = ((c[:, 0] * tloc + c[:, 1]) * tloc + c[:, 2]) * tloc + c[:, 3]
         inside = (u >= x[0]) & (u <= x[-1])
         return np.where(inside, out, 0.0)
+
+    def _evaluate_block(self, X: np.ndarray, mu: np.ndarray, nu: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """`evaluate` of this lattice tomogram on flat frame arrays with s > 0."""
+        theta = np.arctan2(nu, mu)
+        tm = np.mod(theta, np.pi)
+        flip = np.round((theta - tm) / np.pi).astype(int) % 2 == 1
+        u = np.where(flip, -X, X) / s
+
+        n = self.theta_grid.count
+        dtheta = np.pi / n
+        f = tm / dtheta
+        j0 = np.minimum(f.astype(int), n - 1)
+        frac = f - j0
+        j1 = j0 + 1
+        wrap = j1 == n
+        u1 = np.where(wrap, -u, u)
+        j1 = np.where(wrap, 0, j1)
+
+        v0 = self._interp_rows(j0, u)
+        v1 = self._interp_rows(j1, u1)
+        return np.maximum((1.0 - frac) * v0 + frac * v1, 0.0) / s
 
     def evaluate(self, X, mu, nu):
         """w at an arbitrary frame (X, mu, nu) with s = sqrt(mu^2+nu^2) > 0.
@@ -116,27 +143,16 @@ class Tomogram:
         )
         shape = X.shape
         X, mu, nu = X.ravel(), mu.ravel(), nu.ravel()
+        if not (np.isfinite(X).all() and np.isfinite(mu).all() and np.isfinite(nu).all()):
+            raise InvalidFrameError("tomogram frame has a non-finite coordinate")
         s = np.hypot(mu, nu)
         if np.any(s == 0):
             raise InvalidFrameError("tomogram frame mu = nu = 0 is degenerate")
-        theta = np.arctan2(nu, mu)
-        tm = np.mod(theta, np.pi)
-        flip = np.round((theta - tm) / np.pi).astype(int) % 2 == 1
-        u = np.where(flip, -X, X) / s
-
-        n = self.theta_grid.count
-        dtheta = np.pi / n
-        f = tm / dtheta
-        j0 = np.minimum(f.astype(int), n - 1)
-        frac = f - j0
-        j1 = j0 + 1
-        wrap = j1 == n
-        u1 = np.where(wrap, -u, u)
-        j1 = np.where(wrap, 0, j1)
-
-        v0 = self._interp_rows(j0, u)
-        v1 = self._interp_rows(j1, u1)
-        out = np.maximum((1.0 - frac) * v0 + frac * v1, 0.0) / s
+        out = np.empty(X.size)
+        chunk = 1 << 13  # blocks keep the temporaries small and cache-resident
+        for lo in range(0, X.size, chunk):
+            hi = min(lo + chunk, X.size)
+            out[lo:hi] = self._evaluate_block(X[lo:hi], mu[lo:hi], nu[lo:hi], s[lo:hi])
         return out.reshape(shape) if shape else float(out.reshape(()))
 
     def with_frame_map(self, matrix: np.ndarray) -> "Tomogram":
@@ -161,11 +177,6 @@ class Tomogram:
         )
 
 
-def evaluate(tomogram: Tomogram, X, mu, nu):
-    """Module-level alias for Tomogram.evaluate."""
-    return tomogram.evaluate(X, mu, nu)
-
-
 # --- forward transforms ------------------------------------------------------
 
 
@@ -183,13 +194,23 @@ def _transform_state_batch(
     FFT-upsampled position grid fine enough to resolve the phase
     mu y^2/(2 nu) - X y/nu; accuracy target 1e-6 against a 4x-resolution
     reference.
+
+    The sum over the uniform fine grid y_k = y_c + k dy at the uniform
+    X_m = X_c + m dX (k, m centred integer offsets) is a chirp-z transform:
+    with a = dX dy / nu, exp(-i X_m y_k / nu) equals exp(-i X_c y_k / nu)
+    exp(-i a m^2/2) exp(-i a k^2/2) exp(+i a (m - k)^2/2) times a phase in
+    m alone, so |amp_m| is the modulus of one linear convolution with the
+    kernel exp(i a j^2/2), done by FFT (Bluestein's algorithm).  Dropping
+    the m-only phases leaves |amp|^2 unchanged.
     """
     X = x_grid.points
+    n_x = x_grid.count
     n_pos = grid.count
     period = n_pos * grid.step
     ymax = max(abs(grid.lower), abs(grid.upper))
     xabs = max(abs(x_grid.lower), abs(x_grid.upper))
-    out = np.empty((theta_grid.count, x_grid.count))
+    x_centre = X[n_x // 2]
+    out = np.empty((theta_grid.count, n_x))
     limit_splines = None
     for j, theta in enumerate(theta_grid.points):
         mu, nu = np.cos(theta), np.sin(theta)
@@ -209,13 +230,26 @@ def _transform_state_batch(
             continue
         max_freq = (abs(mu) * ymax + xabs) / abs(nu)
         y, fine, step = refine_samples(grid, states, max_freq, axis=1)
-        chirped = fine * np.exp(0.5j * mu * y**2 / nu) * step
-        amp = np.zeros((states.shape[0], X.size), dtype=np.complex128)
-        chunk = 1 << 13
-        for lo in range(0, y.size, chunk):
-            hi = min(lo + chunk, y.size)
-            amp += chirped[:, lo:hi] @ np.exp(-1j * np.outer(y[lo:hi], X) / nu)
-        out[j] = weights @ (np.abs(amp) ** 2) / (2.0 * np.pi * abs(nu))
+        n_y = y.size
+        size = scipy.fft.next_fast_len(n_y + n_x - 1)
+        a = x_grid.step * step / nu
+        k = np.arange(n_y) - n_y // 2
+        # sample k sits at index k + n_y // 2 and kernel j = m - k at index
+        # j + lag, so output m lands at index m + n_x // 2 + n_y - 1
+        lag = n_y - 1 - n_y // 2 + n_x // 2
+        j_kernel = np.arange(n_y + n_x - 1) - lag
+        kernel = scipy.fft.fft(np.exp(0.5j * a * j_kernel**2), size)  # shared by all states
+        # copying into the padded buffer leaves the caller's states untouched
+        buf = np.zeros((states.shape[0], size), dtype=np.complex128)
+        buf[:, :n_y] = fine
+        del fine
+        buf[:, :n_y] *= step * np.exp(1j * (0.5 * mu * y**2 / nu - x_centre * y / nu - 0.5 * a * k**2))
+        buf = scipy.fft.fft(buf, axis=1, overwrite_x=True)
+        buf *= kernel
+        buf = scipy.fft.ifft(buf, axis=1, overwrite_x=True)
+        power = np.abs(buf[:, n_y - 1:n_y - 1 + n_x]) ** 2
+        del buf  # free before the next slice upsamples
+        out[j] = weights @ power / (2.0 * np.pi * abs(nu))
     return out
 
 

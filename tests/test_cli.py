@@ -206,3 +206,33 @@ def test_default_route_evolve_still_rejects_general_potential(tmp_path, capsys):
     )
     assert code == EXIT_INVALID
     assert "pullback route" in json.loads(err.strip())["message"]
+
+
+@pytest.mark.parametrize("text", ["alpha=abc", "beta=1.2.3", "alpha=nan", "alpha=1,beta=inf", "beta=-inf"])
+def test_parse_potential_rejects_malformed_and_non_finite(text):
+    with pytest.raises(InvalidInputError):
+        parse_potential(text)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), "0.5"])
+def test_config_rejects_non_finite_or_non_numeric_t(t):
+    with pytest.raises(InvalidInputError):
+        RunConfig(route="pde", t=t).validate()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--potential", "alpha=nan,beta=0.1", "--t", "0.5"],
+        ["--potential", "alpha=abc", "--t", "0.5"],
+        ["--potential", "harmonic", "--t", "nan"],
+        ["--potential", "harmonic", "--t", "inf"],
+    ],
+    ids=["nan_potential", "malformed_potential", "nan_t", "inf_t"],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "f.csv"
+    code, _, err = run(["evolve", "--route", "pde", *flags, "-o", str(out)] + FAST, capsys)
+    assert code == EXIT_INVALID
+    assert json.loads(err.strip())["code"] == EXIT_INVALID
+    assert not out.exists()

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
-from tomoprop.errors import InvalidInputError
-from tomoprop.grids import UniformGrid, integrate_samples, trapezoid_weights
+from tomoprop.errors import InvalidFrameError, InvalidInputError
+from tomoprop.grids import UniformGrid, integrate_samples, refine_samples, trapezoid_weights
 from tomoprop.states import (
     GaussianPacket,
     density_from_wavefunction,
@@ -13,8 +14,10 @@ from tomoprop.states import (
 from tomoprop.tomography import (
     DEFAULT_THETA_COUNT,
     DEFAULT_X_GRID,
+    EPS_THETA,
     Tomogram,
     _slice_characteristic,
+    _transform_state_batch,
     angle_grid,
     density_from_tomogram,
     optical_slice,
@@ -221,3 +224,136 @@ def test_slice_characteristic_matches_dense_sum(x_grid, packet):
     got = _slice_characteristic(tomo, mu, nu)
     assert np.abs(got - dense_slice_characteristic(tomo, mu, nu)).max() < 1e-8
     assert np.all(got[:50] == 1.0)
+
+
+def dense_transform_batch(grid, states, weights, x_grid, theta_grid):
+    """The forward sum evaluated densely: per slice away from nu = 0,
+    sum_k step fine_k exp(i mu y_k^2/(2 nu) - i X y_k/nu) on the same
+    refined grid, squared and weighted as in `_transform_state_batch`."""
+    X = x_grid.points
+    ymax = max(abs(grid.lower), abs(grid.upper))
+    xabs = max(abs(x_grid.lower), abs(x_grid.upper))
+    out = np.empty((theta_grid.count, x_grid.count))
+    for j, theta in enumerate(theta_grid.points):
+        mu, nu = np.cos(theta), np.sin(theta)
+        assert abs(nu) >= EPS_THETA  # the limit branch is not under test
+        max_freq = (abs(mu) * ymax + xabs) / abs(nu)
+        y, fine, step = refine_samples(grid, states, max_freq, axis=1)
+        chirped = fine * np.exp(0.5j * mu * y**2 / nu) * step
+        amp = np.zeros((states.shape[0], X.size), dtype=np.complex128)
+        for lo in range(0, y.size, 1 << 13):
+            hi = lo + (1 << 13)
+            amp += chirped[:, lo:hi] @ np.exp(-1j * np.outer(y[lo:hi], X) / nu)
+        out[j] = weights @ (np.abs(amp) ** 2) / (2.0 * np.pi * abs(nu))
+    return out
+
+
+# eight angles away from the nu -> 0 limit keep the dense sums cheap
+FEW_ANGLES = UniformGrid(0.3, 2.9, 8)
+
+
+@pytest.mark.parametrize(
+    "x_grid, spec",
+    [
+        (DEFAULT_X_GRID, "gaussian:1,0.5,1"),
+        (UniformGrid(-14.0, 14.0, 350), "gaussian:1,0.5,1"),
+        (UniformGrid(-9.0, 13.0, 200), "gaussian:1,0.5,1"),
+        (UniformGrid(-9.0, 13.0, 200), "gaussian:3,-2,0.7"),
+    ],
+    ids=["odd", "even", "off_centre_near", "off_centre_far"],
+)
+def test_forward_transform_matches_dense_sum(x_grid, spec):
+    psi = make_state(spec)
+    states, weights = psi.values[None, :], np.array([1.0])
+    got = _transform_state_batch(psi.grid, states, weights, x_grid, FEW_ANGLES, EPS_THETA)
+    want = dense_transform_batch(psi.grid, states, weights, x_grid, FEW_ANGLES)
+    assert np.abs(got - want).max() < 1e-10
+
+
+def test_forward_transform_matches_dense_sum_for_signed_mixture():
+    specs = ["ho:0", "ho:1", "ho:3", "gaussian:1,0.5,1", "gaussian:-2,1.5,0.8", "gaussian:3,-2,0.7"]
+    grid = make_state("ho:0").grid
+    states = np.array([make_state(spec, grid).values for spec in specs], dtype=np.complex128)
+    before = states.copy()
+    weights = np.array([0.4, 0.3, -0.05, 0.25, -0.02, 0.12])
+    got = _transform_state_batch(grid, states, weights, DEFAULT_X_GRID, FEW_ANGLES, EPS_THETA)
+    want = dense_transform_batch(grid, states, weights, DEFAULT_X_GRID, FEW_ANGLES)
+    assert np.abs(got - want).max() < 1e-10
+    assert np.array_equal(states, before)  # the caller's states are never written
+
+
+def test_forward_transform_matches_dense_sum_near_nu_zero():
+    # theta = 0.002 just above eps_theta needs a fine grid of about 1.2e5 points
+    theta_grid = UniformGrid(0.002, 0.002 + 7 * np.pi / 8, 8)
+    psi = make_state("gaussian:1,0.5,1")
+    states, weights = psi.values[None, :], np.array([1.0])
+    got = _transform_state_batch(psi.grid, states, weights, DEFAULT_X_GRID, theta_grid, EPS_THETA)
+    want = dense_transform_batch(psi.grid, states, weights, DEFAULT_X_GRID, theta_grid)
+    assert np.abs(got - want).max() < 1e-10
+
+
+def spline_evaluate(tomo, X, mu, nu):
+    """Frame by frame: fold to theta in [0, pi), then one CubicSpline per
+    stored slice, blended linearly between neighbouring slices."""
+    x = tomo.x_grid.points
+    n = tomo.theta_grid.count
+    dtheta = np.pi / n
+    rows = [CubicSpline(x, tomo.values[j]) for j in range(n)]
+
+    def row(j, u):
+        return float(rows[j](u)) if x[0] <= u <= x[-1] else 0.0
+
+    out = []
+    for Xq, muq, nuq in zip(X, mu, nu):
+        s = np.hypot(muq, nuq)
+        theta = np.arctan2(nuq, muq)
+        u = Xq / s
+        if theta < 0.0:
+            theta, u = theta + np.pi, -u
+        elif theta >= np.pi:
+            theta, u = theta - np.pi, -u
+        j0 = min(int(theta // dtheta), n - 1)
+        frac = theta / dtheta - j0
+        # past the last stored slice the next one is slice 0 at -u (parity)
+        v1 = row(0, -u) if j0 + 1 == n else row(j0 + 1, u)
+        out.append(max((1.0 - frac) * row(j0, u) + frac * v1, 0.0) / s)
+    return np.array(out)
+
+
+def test_evaluate_matches_per_row_splines(packet_tomogram):
+    tomo = packet_tomogram
+    rng = np.random.default_rng(11)
+    x, th = tomo.x_grid.points, tomo.theta_grid.points
+    theta = np.concatenate([
+        rng.uniform(-np.pi, np.pi, 3000),
+        th[[0, 7, 60]].repeat(4),  # on stored slices, at knots below
+        th[-1] + np.pi / 120 * rng.uniform(0.0, 1.0, 20),  # blend into row 0 (wrap)
+        [np.pi, -np.pi / 2],
+    ])
+    u = rng.uniform(-13.0, 13.0, theta.size)  # beyond the X range [-10, 10] too
+    u[3000:3012] = x[[0, 1, 100, 200]].repeat(3)
+    scale = np.where(rng.random(theta.size) < 0.5, 1.0, rng.uniform(0.3, 3.0, theta.size))
+    scale[3000:3012] = 1.0
+    X, mu, nu = scale * u, scale * np.cos(theta), scale * np.sin(theta)
+    got = tomo.evaluate(X, mu, nu)
+    assert np.abs(got - spline_evaluate(tomo, X, mu, nu)).max() < 1e-13
+
+
+def test_evaluate_blocks_agree_with_single_frames(packet_tomogram):
+    rng = np.random.default_rng(5)
+    count = 3 * (1 << 13) + 17  # several blocks and a partial one
+    theta = rng.uniform(0.0, 2.0 * np.pi, count)
+    u = rng.uniform(-5.0, 5.0, count)
+    got = packet_tomogram.evaluate(u, np.cos(theta), np.sin(theta))
+    picks = rng.integers(0, count, 40)
+    single = [packet_tomogram.evaluate(u[q], np.cos(theta[q]), np.sin(theta[q])) for q in picks]
+    assert np.array_equal(got[picks], single)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [(np.nan, 1.0, 0.0), (0.5, np.nan, 0.2), (0.5, 0.3, np.inf), ([0.1, -np.inf], 1.0, 0.5)],
+)
+def test_evaluate_rejects_non_finite_frames(packet_tomogram, frame):
+    with pytest.raises(InvalidFrameError):
+        packet_tomogram.evaluate(*frame)
