@@ -125,6 +125,8 @@ class RunConfig:
                 raise InvalidInputError(f"{name} must be at least 8, got {count}")
         if not isinstance(self.t, (int, float)) or not math.isfinite(self.t):
             raise InvalidInputError(f"t must be a finite number, got {self.t!r}")
+        if not isinstance(self.eps_theta, (int, float)) or not 0.0 < self.eps_theta < 1.0:
+            raise InvalidInputError(f"eps_theta must be a number in (0, 1), got {self.eps_theta!r}")
         if self.route not in _ROUTES:
             raise InvalidInputError(f"route must be one of {_ROUTES}, got {self.route!r}")
         if self.output_format not in ("csv", "json"):
@@ -181,7 +183,9 @@ def _base_meta(config: RunConfig) -> dict:
 
 def _initial_tomogram(config: RunConfig) -> Tomogram:
     psi = make_state(config.state, config.position_grid())
-    return tomogram_from_wavefunction(psi, config.x_grid(), angle_grid(config.theta_count))
+    return tomogram_from_wavefunction(
+        psi, config.x_grid(), angle_grid(config.theta_count), eps_theta=config.eps_theta
+    )
 
 
 def _cmd_tomogram(args: argparse.Namespace) -> int:
@@ -234,11 +238,22 @@ def _cmd_green(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_numbers(text: str, flag: str) -> list[float]:
+    """Comma-separated finite numbers of a flag."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidInputError(f"cannot parse {flag} {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidInputError(f"{flag} {text!r} has a non-finite value")
+    return values
+
+
 def _cmd_kernel(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     green = GreenFunction.for_potential(config.resolved_potential())
-    k_values = [float(v) for v in args.k.split(",")]
-    frames = [float(v) for v in args.frame.split(",")]
+    k_values = _parse_numbers(args.k, "--k")
+    frames = _parse_numbers(args.frame, "--frame")
     if len(frames) != 4:
         raise InvalidInputError("--frame needs mu,nu,mu_p,nu_p")
     mu, nu, mu_p, nu_p = frames
@@ -348,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalDomainError as exc:
         _emit_error(EXIT_DOMAIN, str(exc), {"command": args.command})
         return EXIT_DOMAIN
-    except (InvalidInputError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (InvalidInputError, FileNotFoundError, json.JSONDecodeError) as exc:
         _emit_error(EXIT_INVALID, str(exc), {"command": args.command})
         return EXIT_INVALID
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .errors import InvalidInputError, NumericalDomainError
 
@@ -110,19 +109,19 @@ def fft_upsample(values, count: int, axis: int = -1) -> np.ndarray:
         raise InvalidInputError(f"cannot upsample {n} samples to {count}")
     half = n // 2 + 1  # non-negative frequency bins, Nyquist included
     if np.iscomplexobj(values):
-        spec = scipy.fft.fft(values)
+        spec = np.fft.fft(values)
         padded = np.zeros(values.shape[:-1] + (count,), dtype=spec.dtype)
         padded[..., :half] = spec[..., :half]
         padded[..., count - (n - half):] = spec[..., half:]
         if n % 2 == 0 and count > n:
             padded[..., n // 2] *= 0.5
             padded[..., count - n // 2] = padded[..., n // 2]
-        out = scipy.fft.ifft(padded * (count / n))
+        out = np.fft.ifft(padded * (count / n))
     else:
-        spec = scipy.fft.rfft(values)
+        spec = np.fft.rfft(values)
         if n % 2 == 0 and count > n:
             spec[..., n // 2] *= 0.5
-        out = scipy.fft.irfft(spec * (count / n), n=count)
+        out = np.fft.irfft(spec * (count / n), n=count)
     return np.moveaxis(out, -1, axis)
 
 
@@ -141,3 +140,96 @@ def refine_samples(grid: UniformGrid, values, max_freq: float, axis: int = -1):
         return grid.points, values, grid.step
     step = period / n_fine
     return grid.lower + step * np.arange(n_fine), fft_upsample(values, n_fine, axis), step
+
+
+def next_fast_len(target: int) -> int:
+    """Smallest 2*3*5*7*11-smooth integer >= target: pocketfft's fast complex lengths.
+
+    This is the length scipy.fft.next_fast_len picks for complex transforms,
+    so FFT sizes (and output bytes) do not depend on which library chose them.
+    """
+    if target < 1:
+        raise InvalidInputError(f"FFT length target must be positive, got {target}")
+    n = int(target)
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Solve a_i x_{i-1} + b_i x_i + c_i x_{i+1} = d_i along axis 0 of d.
+
+    Cyclic reduction: each level eliminates the odd rows from the even
+    ones, so the work is a few whole-array operations per level over
+    log2(n) levels instead of a sequential sweep over n rows.  Stable for
+    diagonally dominant systems.  a[0] and c[-1] are ignored.
+    """
+    n = b.size
+    if n == 1:
+        return d / b[0]
+    ne, no = (n + 1) // 2, n // 2
+    ae, be, ce, de = a[0::2], b[0::2], c[0::2], d[0::2]
+    ao, bo, co, do = a[1::2], b[1::2], c[1::2], d[1::2]
+    # even row 2k couples to odd rows 2k - 1 (index k - 1) and 2k + 1 (index k)
+    alpha = -ae[1:] / bo[: ne - 1]
+    gamma = -ce[:no] / bo
+    cols = (slice(None),) + (None,) * (d.ndim - 1)
+    b2 = be.copy()
+    b2[1:] += alpha * co[: ne - 1]
+    b2[:no] += gamma * ao
+    a2 = np.zeros(ne)
+    a2[1:] = alpha * ao[: ne - 1]
+    c2 = np.zeros(ne)
+    c2[:no] = gamma * co
+    d2 = de.copy()
+    d2[1:] += alpha[cols] * do[: ne - 1]
+    d2[:no] += gamma[cols] * do
+    xe = _solve_tridiagonal(a2, b2, c2, d2)
+    xo = do - ao[cols] * xe[:no]
+    xo[: ne - 1] -= co[: ne - 1][cols] * xe[1:]
+    xo /= bo[cols]
+    x = np.empty_like(d)
+    x[0::2] = xe
+    x[1::2] = xo
+    return x
+
+
+def cubic_spline_coeffs(values, step: float) -> np.ndarray:
+    """Not-a-knot cubic spline of uniform samples along axis 0.
+
+    Returns coefficients in scipy's PPoly layout, shape (4, n - 1, ...):
+    on segment i, at offset t from knot i, the spline is
+    ((c[0] t + c[1]) t + c[2]) t + c[3].  Matches
+    scipy.interpolate.CubicSpline (default not-a-knot ends) on the same
+    samples.  Real or complex samples; needs n >= 4.
+    """
+    y = np.asarray(values)
+    n = y.shape[0]
+    if n < 4:
+        raise InvalidInputError(f"cubic spline needs at least 4 samples, got {n}")
+    slope = np.diff(y, axis=0) / step
+    # slopes s_i solve s_{i-1} + 4 s_i + s_{i+1} = 3 (m_{i-1} + m_i) inside;
+    # the not-a-knot ends, s_0 + 2 s_1 = (5 m_0 + m_1)/2 and its mirror, are
+    # eliminated into rows 1 and n - 2, leaving interior unknowns s_1..s_{n-2}
+    rhs = 3.0 * (slope[:-1] + slope[1:])
+    rhs[0] = 0.5 * slope[0] + 2.5 * slope[1]
+    rhs[-1] = 2.5 * slope[-2] + 0.5 * slope[-1]
+    diag = np.full(n - 2, 4.0)
+    diag[0] = diag[-1] = 2.0
+    off = np.ones(n - 2)
+    s = np.empty_like(y, dtype=np.result_type(y, float))
+    s[1:-1] = _solve_tridiagonal(off, diag, off, rhs)
+    s[0] = 0.5 * (5.0 * slope[0] + slope[1]) - 2.0 * s[1]
+    s[-1] = 0.5 * (5.0 * slope[-1] + slope[-2]) - 2.0 * s[-2]
+    t = (s[:-1] + s[1:] - 2.0 * slope) / step
+    c = np.empty((4,) + slope.shape, dtype=t.dtype)
+    c[0] = t / step
+    c[1] = (slope - s[:-1]) / step - t
+    c[2] = s[:-1]
+    c[3] = y[:-1]
+    return c

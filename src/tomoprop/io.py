@@ -8,10 +8,11 @@ output.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import tempfile
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,20 +23,23 @@ from .states import DensityMatrix
 from .tomography import CONVENTION_VERSION, Tomogram, angle_grid
 
 _FMT = "%.17g"
+_BLOCK_ROWS = 8192  # rows formatted per string; bounds the temporaries
+_LATTICE_RTOL = 1e-12
 
 
 def _fmt(value: float) -> str:
     return _FMT % float(value)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a sibling temp file and an atomic rename."""
+@contextmanager
+def _atomic_open(path: str | Path):
+    """Text handle on a sibling temp file, renamed onto path only on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -43,14 +47,38 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows) -> str:
-    import io as _io
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to path via a sibling temp file and an atomic rename."""
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+
+def _write_table(path: str | Path, first_line: str, table: np.ndarray) -> None:
+    """`first_line`, then one comma-separated line of 17-digit floats per row of `table`.
+
+    Rows are formatted in blocks with one %-format per block, which writes
+    the same bytes as formatting each value with _fmt.
+    """
+    table = np.asarray(table, dtype=float)
+    line = ",".join([_FMT] * table.shape[1]) + "\n"
+    with _atomic_open(path) as handle:
+        handle.write(first_line)
+        for lo in range(0, table.shape[0], _BLOCK_ROWS):
+            block = table[lo:lo + _BLOCK_ROWS]
+            handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+
+
+def _load_rows(handle, path: Path) -> np.ndarray:
+    """The remaining lines of an open CSV as a float matrix (one row per line)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file is rejected below
+            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InvalidInputError(f"cannot parse the rows of {path}: {exc}") from None
+    if data.size == 0:
+        raise InvalidInputError(f"no data rows in {path}")
+    return data
 
 
 def meta_path_for(path: str | Path) -> Path:
@@ -69,13 +97,8 @@ def write_metadata(path: str | Path, meta: dict) -> None:
 
 def write_tomogram(path: str | Path, tomo: Tomogram, meta: dict | None = None) -> None:
     """Tomogram CSV: header X,theta,w; theta outer, X inner, row major."""
-    x = tomo.x_grid.points
-    theta = tomo.theta_grid.points
-    rows = []
-    for j, th in enumerate(theta):
-        for i, xi in enumerate(x):
-            rows.append((_fmt(xi), _fmt(th), _fmt(tomo.values[j, i])))
-    atomic_write_text(path, _csv_text(["X", "theta", "w"], rows))
+    X, Th = np.meshgrid(tomo.x_grid.points, tomo.theta_grid.points)
+    _write_table(path, "X,theta,w\n", np.column_stack([X.ravel(), Th.ravel(), tomo.values.ravel()]))
     payload = dict(meta or {})
     payload.update(
         {
@@ -87,30 +110,46 @@ def write_tomogram(path: str | Path, tomo: Tomogram, meta: dict | None = None) -
 
 
 def read_tomogram(path: str | Path) -> Tomogram:
+    """Read a tomogram CSV written by write_tomogram.
+
+    The rows must form the full lattice in write order: theta equal to
+    angle_grid(n_theta) and X uniform, the same in every slice, both to
+    1e-12 relative to their span.  A sidecar naming another
+    convention_version is rejected.
+    """
     path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != ["X", "theta", "w"]:
-            raise InvalidInputError(f"not a tomogram file (header {header}): {path}")
-        data = np.array([[float(c) for c in row] for row in reader])
-    if data.size == 0:
-        raise InvalidInputError(f"empty tomogram file: {path}")
-    x_unique = np.unique(data[:, 0])
-    theta_unique = np.unique(data[:, 1])
-    n_x, n_theta = x_unique.size, theta_unique.size
-    if n_x * n_theta != data.shape[0]:
+    header, data = read_grid_csv(path)
+    if header != ["X", "theta", "w"]:
+        raise InvalidInputError(f"not a tomogram file (header {header}): {path}")
+    if data.shape[1] != 3:
+        raise InvalidInputError(f"tomogram rows need 3 columns: {path}")
+    changes = np.flatnonzero(data[:, 1] != data[0, 1])
+    n_x = int(changes[0]) if changes.size else data.shape[0]
+    if n_x < 2 or data.shape[0] % n_x:
         raise InvalidInputError(f"tomogram file is not a complete lattice: {path}")
-    values = data[:, 2].reshape(n_theta, n_x)
-    x_grid = UniformGrid(float(x_unique[0]), float(x_unique[-1]), n_x)
+    n_theta = data.shape[0] // n_x
+    lattice = data.reshape(n_theta, n_x, 3)
+    x_grid = UniformGrid(float(lattice[0, 0, 0]), float(lattice[0, -1, 0]), n_x)
+    theta_grid = angle_grid(n_theta)
+    x_off = np.abs(lattice[:, :, 0] - x_grid.points).max()
+    theta_off = np.abs(lattice[:, :, 1] - theta_grid.points[:, None]).max()
+    if x_off > _LATTICE_RTOL * x_grid.span or theta_off > _LATTICE_RTOL * np.pi:
+        raise InvalidInputError(
+            f"tomogram file is not on a uniform X grid and the angle_grid({n_theta}) lattice: {path}"
+        )
     meta = {}
     mp = meta_path_for(path)
     if mp.exists():
         meta = json.loads(mp.read_text())
+        version = meta.get("convention_version", CONVENTION_VERSION)
+        if version != CONVENTION_VERSION:
+            raise InvalidInputError(
+                f"tomogram file has convention version {version!r}, expected {CONVENTION_VERSION!r}: {path}"
+            )
     return Tomogram(
         x_grid=x_grid,
-        theta_grid=angle_grid(n_theta),
-        values=values,
+        theta_grid=theta_grid,
+        values=lattice[:, :, 2],
         meta=dict(meta, negative_tol=1e-9),
     )
 
@@ -120,12 +159,8 @@ def read_tomogram(path: str | Path) -> Tomogram:
 
 def write_kernel_scan(path: str | Path, rows, meta: dict | None = None) -> None:
     """Kernel scan CSV: one row (k, mu, nu, mu_p, nu_p, t, eps, value) per query."""
-    out = []
-    for k, mu, nu, mu_p, nu_p, t, eps, value in rows:
-        out.append(
-            tuple(_fmt(v) for v in (k, mu, nu, mu_p, nu_p, t, eps, value.real, value.imag))
-        )
-    atomic_write_text(path, _csv_text(["k", "mu", "nu", "mu_p", "nu_p", "t", "eps", "re", "im"], out))
+    table = [(k, mu, nu, mu_p, nu_p, t, eps, value.real, value.imag) for k, mu, nu, mu_p, nu_p, t, eps, value in rows]
+    _write_table(path, "k,mu,nu,mu_p,nu_p,t,eps,re,im\n", np.array(table, dtype=float).reshape(-1, 9))
     write_metadata(path, meta or {})
 
 
@@ -134,11 +169,8 @@ def write_kernel_scan(path: str | Path, rows, meta: dict | None = None) -> None:
 
 def write_optical(path: str | Path, x: np.ndarray, phi: np.ndarray, values: np.ndarray, meta: dict | None = None) -> None:
     """Optical tomogram CSV: header X,phi,w; phi outer, X inner."""
-    rows = []
-    for j, ph in enumerate(np.atleast_1d(phi)):
-        for i, xi in enumerate(x):
-            rows.append((_fmt(xi), _fmt(ph), _fmt(values[j, i])))
-    atomic_write_text(path, _csv_text(["X", "phi", "w"], rows))
+    X, Phi = np.meshgrid(x, np.atleast_1d(phi))
+    _write_table(path, "X,phi,w\n", np.column_stack([X.ravel(), Phi.ravel(), np.ravel(values)]))
     write_metadata(path, meta or {})
 
 
@@ -147,23 +179,19 @@ def write_optical(path: str | Path, x: np.ndarray, phi: np.ndarray, values: np.n
 
 def write_green_grid(path: str | Path, x: np.ndarray, y: np.ndarray, t: float, values: np.ndarray, meta: dict | None = None) -> None:
     """Propagator grid CSV: header x,y,t,re,im; x outer, y inner."""
-    rows = []
-    for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            rows.append(
-                (_fmt(xi), _fmt(yj), _fmt(t), _fmt(values[i, j].real), _fmt(values[i, j].imag))
-            )
-    atomic_write_text(path, _csv_text(["x", "y", "t", "re", "im"], rows))
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    values = np.asarray(values)
+    table = np.column_stack([X.ravel(), Y.ravel(), np.full(X.size, float(t)), values.real.ravel(), values.imag.ravel()])
+    _write_table(path, "x,y,t,re,im\n", table)
     write_metadata(path, meta or {})
 
 
 def read_grid_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Generic reader returning (header, float matrix) for any CSV payload."""
+    path = Path(path)
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        data = np.array([[float(c) for c in row] for row in reader])
-    return header, data
+        header = handle.readline().rstrip("\r\n").split(",")
+        return header, _load_rows(handle, path)
 
 
 # --- density matrices --------------------------------------------------------
@@ -181,8 +209,7 @@ def write_density(path_base: str | Path, rho: DensityMatrix, meta: dict | None =
     paths = []
     for tag, part in (("real", rho.values.real), ("imag", rho.values.imag)):
         target = base.with_name(f"{stem}.{tag}.csv")
-        body = "\n".join(",".join(_fmt(v) for v in row) for row in part)
-        atomic_write_text(target, grid_line + body + "\n")
+        _write_table(target, grid_line, part)
         paths.append(target)
     payload = dict(meta or {})
     payload.update(
@@ -201,12 +228,18 @@ def read_density(path_real: str | Path) -> DensityMatrix:
     path_imag = path_real.with_name(path_real.name.replace(".real.", ".imag."))
 
     def load(path):
-        lines = Path(path).read_text().splitlines()
-        if not lines or not lines[0].startswith("# x:"):
-            raise InvalidInputError(f"missing grid header in {path}")
-        lower, upper, count = lines[0][4:].split()
-        grid = UniformGrid(float(lower), float(upper), int(count))
-        matrix = np.array([[float(c) for c in row.split(",")] for row in lines[1:]])
+        with open(path) as handle:
+            first = handle.readline()
+            fields = first[4:].split() if first.startswith("# x:") else []
+            if len(fields) != 3:
+                raise InvalidInputError(f"missing grid header in {path}")
+            try:
+                grid = UniformGrid(float(fields[0]), float(fields[1]), int(fields[2]))
+            except ValueError:
+                raise InvalidInputError(f"malformed grid header in {path}") from None
+            matrix = _load_rows(handle, path)
+        if matrix.shape != (grid.count, grid.count):
+            raise InvalidInputError(f"matrix shape {matrix.shape} does not match the grid in {path}")
         return grid, matrix
 
     grid, real = load(path_real)

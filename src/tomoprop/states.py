@@ -52,9 +52,12 @@ _TERM_SPLIT = re.compile(r"(?<![0-9.][eE])\+")
 
 def _number(text: str, kind, spec: str):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise InvalidInputError(f"malformed number {text!r} in state spec {spec!r}") from None
+    if kind is float and not np.isfinite(value):
+        raise InvalidInputError(f"non-finite number {text!r} in state spec {spec!r}")
+    return value
 
 
 def parse_state_spec(text: str) -> StateSpec:
@@ -62,7 +65,7 @@ def parse_state_spec(text: str) -> StateSpec:
 
     Accepts "ho_ground", "ho:<n>", "gaussian:<x0>,<p0>,<sigma>", and
     "super:<c0>*<spec>+<c1>*<spec>" with real coefficients.  Malformed
-    numbers raise InvalidInputError.
+    or non-finite numbers raise InvalidInputError.
     """
     text = text.strip()
     if text == "ho_ground":
@@ -112,9 +115,12 @@ class WaveFunction:
     @classmethod
     def normalized(cls, grid: UniformGrid, values) -> "WaveFunction":
         values = np.asarray(values, dtype=np.complex128)
-        norm = np.sqrt(integrate_samples(np.abs(values) ** 2, grid.step).real)
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = np.sqrt(integrate_samples(np.abs(values) ** 2, grid.step).real)
         if norm == 0:
             raise InvalidInputError("cannot normalize the zero function")
+        if not np.isfinite(norm):
+            raise InvalidInputError("cannot normalize a function with non-finite norm")
         return cls(grid=grid, values=values / norm)
 
     def interpolate(self, x):

@@ -12,15 +12,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidFrameError, InvalidInputError
 from .grids import (
     MAX_FINE,
     UniformGrid,
+    cubic_spline_coeffs,
     fft_upsample,
     integrate_samples,
+    next_fast_len,
     refine_samples,
     trapezoid_weights,
 )
@@ -62,6 +62,8 @@ class Tomogram:
             raise InvalidInputError(
                 f"tomogram values shape {vals.shape} does not match grids"
             )
+        if not np.isfinite(vals).all():
+            raise InvalidInputError("tomogram has non-finite values")
         tol = self.meta.get("negative_tol", 1e-10)
         if vals.min() < -tol:
             raise InvalidInputError(
@@ -72,11 +74,6 @@ class Tomogram:
         if self.theta_grid.lower < 0 or last >= np.pi:
             raise InvalidInputError("theta grid must lie inside [0, pi)")
 
-    @cached_property
-    def _spline(self) -> CubicSpline:
-        # one cubic spline per theta slice, vectorized over slices
-        return CubicSpline(self.x_grid.points, self.values, axis=1)
-
     def slice_norms(self) -> np.ndarray:
         return integrate_samples(self.values, self.x_grid.step)
 
@@ -84,7 +81,8 @@ class Tomogram:
     def _segment_coeffs(self) -> np.ndarray:
         """Spline coefficients, one row (c0, c1, c2, c3) per (slice, segment):
         row j (n_x - 1) + seg holds the cubic of slice j on segment seg."""
-        c = self._spline.c  # (4, n_x - 1, n_theta)
+        # one not-a-knot cubic spline per theta slice, vectorized over slices
+        c = cubic_spline_coeffs(self.values.T, self.x_grid.step)  # (4, n_x - 1, n_theta)
         return np.ascontiguousarray(c.transpose(2, 1, 0)).reshape(-1, 4)
 
     def _interp_rows(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -220,33 +218,36 @@ def _transform_state_batch(
                 # spline an upsampled copy so the interpolation error stays
                 # far below the quadrature error of the oscillatory slices
                 n_fine = min(8 * n_pos, MAX_FINE)
-                fine = fft_upsample(states, n_fine, axis=1)
-                y_fine = grid.lower + (period / n_fine) * np.arange(n_fine)
-                limit_splines = CubicSpline(y_fine, fine, axis=1)
+                fine_step = period / n_fine
+                y_fine = grid.lower + fine_step * np.arange(n_fine)
+                limit_splines = cubic_spline_coeffs(fft_upsample(states, n_fine, axis=1).T, fine_step)
             q = X / mu
-            vals = limit_splines(q)
-            vals[:, (q < grid.lower) | (q > grid.upper)] = 0.0
-            out[j] = weights @ (np.abs(vals) ** 2) / abs(mu)
+            seg = np.clip(np.floor((q - grid.lower) / fine_step), 0, n_fine - 2).astype(int)
+            tloc = (q - y_fine[seg])[:, None]
+            c = limit_splines[:, seg]  # (4, n_x, n_states)
+            vals = ((c[0] * tloc + c[1]) * tloc + c[2]) * tloc + c[3]
+            vals[(q < grid.lower) | (q > grid.upper)] = 0.0
+            out[j] = (np.abs(vals) ** 2) @ weights / abs(mu)
             continue
         max_freq = (abs(mu) * ymax + xabs) / abs(nu)
         y, fine, step = refine_samples(grid, states, max_freq, axis=1)
         n_y = y.size
-        size = scipy.fft.next_fast_len(n_y + n_x - 1)
+        size = next_fast_len(n_y + n_x - 1)
         a = x_grid.step * step / nu
         k = np.arange(n_y) - n_y // 2
         # sample k sits at index k + n_y // 2 and kernel j = m - k at index
         # j + lag, so output m lands at index m + n_x // 2 + n_y - 1
         lag = n_y - 1 - n_y // 2 + n_x // 2
         j_kernel = np.arange(n_y + n_x - 1) - lag
-        kernel = scipy.fft.fft(np.exp(0.5j * a * j_kernel**2), size)  # shared by all states
+        kernel = np.fft.fft(np.exp(0.5j * a * j_kernel**2), size)  # shared by all states
         # copying into the padded buffer leaves the caller's states untouched
         buf = np.zeros((states.shape[0], size), dtype=np.complex128)
         buf[:, :n_y] = fine
         del fine
         buf[:, :n_y] *= step * np.exp(1j * (0.5 * mu * y**2 / nu - x_centre * y / nu - 0.5 * a * k**2))
-        buf = scipy.fft.fft(buf, axis=1, overwrite_x=True)
+        np.fft.fft(buf, axis=1, out=buf)
         buf *= kernel
-        buf = scipy.fft.ifft(buf, axis=1, overwrite_x=True)
+        np.fft.ifft(buf, axis=1, out=buf)
         power = np.abs(buf[:, n_y - 1:n_y - 1 + n_x]) ** 2
         del buf  # free before the next slice upsamples
         out[j] = weights @ power / (2.0 * np.pi * abs(nu))
@@ -363,7 +364,12 @@ def _slice_characteristic(
     # sample k sits at index K_j - k, so the forward FFT (sign -) sums exp(+i g (u_k - u_K))
     coeffs = np.zeros((n, pad))
     coeffs[np.arange(n)[:, None], (centre[:, None] - k) % pad] = weighted
-    table = scipy.fft.fft(coeffs, axis=1)
+    # the FFT of real rows is Hermitian: transform half, mirror the rest
+    half = np.fft.rfft(coeffs, axis=1)
+    table = np.empty((n, pad), dtype=np.complex128)
+    table[:, : pad // 2 + 1] = half
+    table[:, pad // 2 + 1:] = half[:, pad // 2 - 1:0:-1].conj()
+    del half
     lattice_per_freq = pad * tomo.x_grid.step / (2.0 * np.pi)
     u_centre = tomo.x_grid.points[centre]
 

@@ -15,6 +15,7 @@ from tomoprop.cli import (
 )
 from tomoprop.errors import InvalidInputError
 from tomoprop.greens import FREE, OSCILLATOR
+from tomoprop.tomography import angle_grid
 
 FAST = ["--theta-count", "48", "--x-count", "101"]
 
@@ -236,3 +237,133 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, flags):
     assert code == EXIT_INVALID
     assert json.loads(err.strip())["code"] == EXIT_INVALID
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "gaussian:nan,0,1",
+        "gaussian:0,0,inf",
+        "gaussian:0,-inf,1",
+        "super:nan*ho:0+1*ho:1",
+        "super:1e200*ho:0+1e200*ho:1",  # finite spec whose norm overflows
+    ],
+)
+def test_non_finite_states_exit_2(tmp_path, capsys, spec):
+    out = tmp_path / "t.csv"
+    code, _, err = run(["tomogram", "--state", spec, "-o", str(out)] + FAST, capsys)
+    assert code == EXIT_INVALID
+    message = json.loads(err.strip())["message"]
+    assert spec in message or "non-finite norm" in message
+    assert not out.exists()
+
+
+def test_non_finite_tomogram_file_exits_2(tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    assert run(["tomogram", "--state", "ho_ground", "-o", str(good)] + FAST, capsys)[0] == EXIT_OK
+    lines = good.read_text().splitlines()
+    lines[5] = ",".join(lines[5].split(",")[:2] + ["nan"])
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run(["compare", str(good), str(bad)], capsys)
+    assert code == EXIT_INVALID
+    assert "non-finite" in json.loads(err.strip())["message"]
+
+
+def test_eps_theta_is_honoured(tmp_path, capsys):
+    paths = {}
+    for eps in ("1e-3", "0.2"):
+        paths[eps] = tmp_path / f"t{eps}.csv"
+        args = ["tomogram", "--state", "gaussian:1,0.5,1", "--eps-theta", eps, "-o", str(paths[eps])]
+        assert run(args + FAST, capsys)[0] == EXIT_OK
+    default = tmp_path / "default.csv"
+    assert run(["tomogram", "--state", "gaussian:1,0.5,1", "-o", str(default)] + FAST, capsys)[0] == EXIT_OK
+    assert default.read_bytes() == paths["1e-3"].read_bytes()
+    a, b = (tio.read_tomogram(paths[eps]).values for eps in ("1e-3", "0.2"))
+    # slices with 1e-3 <= |sin theta| < 0.2 switch to the nu -> 0 limit; the rest keep their bytes
+    switched = np.abs(np.sin(angle_grid(48).points)) < 0.2
+    switched[0] = False  # theta = 0 is the limit under both values
+    assert switched.sum() == 6
+    assert all(a[j].tobytes() != b[j].tobytes() for j in np.flatnonzero(switched))
+    assert np.array_equal(a[~switched], b[~switched])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "1", "-0.1"])
+def test_invalid_eps_theta_exits_2(tmp_path, capsys, value):
+    out = tmp_path / "t.csv"
+    code, _, err = run(["tomogram", "--eps-theta", value, "-o", str(out)] + FAST, capsys)
+    assert code == EXIT_INVALID
+    assert "eps_theta" in json.loads(err.strip())["message"]
+    assert not out.exists()
+
+
+def _foreign_convention(path):
+    meta = json.loads(tio.meta_path_for(path).read_text())
+    meta["convention_version"] = "tomoprop-conventions-0"
+    tio.meta_path_for(path).write_text(json.dumps(meta))
+
+
+def _foreign_theta_lattice(path):
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    n = 48
+    body = ["%s,%.17g,%s" % (x, float(th) * n / (n - 1), w) for x, th, w in rows]
+    path.write_text("\n".join(lines[:1] + body) + "\n")
+
+
+def _malformed_number(path):
+    lines = path.read_text().splitlines()
+    lines[2] = "1,0,x"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "spoil", [_foreign_convention, _foreign_theta_lattice, _malformed_number], ids=["convention", "theta", "number"]
+)
+@pytest.mark.parametrize("command", ["compare", "reconstruct"])
+def test_untrusted_tomogram_files_exit_2(tmp_path, capsys, spoil, command):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    for path in (good, bad):
+        assert run(["tomogram", "--state", "ho_ground", "-o", str(path)] + FAST, capsys)[0] == EXIT_OK
+    spoil(bad)
+    if command == "compare":
+        argv = ["compare", str(good), str(bad)]
+    else:
+        argv = ["reconstruct", str(bad), "--pos-count", "16", "-o", str(tmp_path / "rho.csv")]
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_INVALID
+    assert "bad.csv" in json.loads(err.strip())["message"]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--k", "1,abc"], ["--k", "nan"], ["--frame", "1,0,x,0"], ["--frame", "1,0,1"]]
+)
+def test_malformed_kernel_flags_exit_2(tmp_path, capsys, flags):
+    code, _, err = run(["kernel", *flags, "-o", str(tmp_path / "s.csv")], capsys)
+    assert code == EXIT_INVALID
+    assert json.loads(err.strip())["code"] == EXIT_INVALID
+
+
+def test_numerical_value_error_is_not_reported_as_invalid_input(monkeypatch, tmp_path):
+    # a ValueError from inside the numerics is a bug, not a bad argument
+    import tomoprop.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "tomogram_from_wavefunction", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["tomogram", "-o", str(tmp_path / "t.csv")] + FAST)
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime depends on numpy alone; scipy is a test-only oracle
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, tomoprop.cli; "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "print(loaded); sys.exit(1 if loaded else 0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from tomoprop.errors import InvalidInputError, NumericalDomainError
 from tomoprop.grids import (
     UniformGrid,
+    cubic_spline_coeffs,
     damped_integral_2d,
     fft_upsample,
     integrate_samples,
+    next_fast_len,
     refine_samples,
     trapezoid_weights,
 )
@@ -104,3 +106,58 @@ def test_refine_samples_resolves_requested_frequency():
     assert 2.0 * np.pi / step >= 2.5 * 40.0
     assert np.abs(fine - np.exp(-y**2)).max() < 1e-10
     assert refine_samples(grid, values, 1.0)[1] is values
+
+
+def test_next_fast_len_matches_scipy():
+    import scipy.fft
+
+    for target in range(1, 20001):
+        assert next_fast_len(target) == scipy.fft.next_fast_len(target), target
+    with pytest.raises(InvalidInputError):
+        next_fast_len(0)
+
+
+def _packets(x, centres, widths, wavenumbers):
+    """Gaussian packets along axis 0 of x, one column per centre."""
+    return np.exp(-((x[:, None] - centres) ** 2) / (2.0 * widths**2) + 1j * wavenumbers * x[:, None])
+
+
+@pytest.mark.parametrize(
+    "grid,columns,dtype",
+    [
+        (UniformGrid(-14.0, 14.0, 351), 180, float),  # a tomogram's slices
+        (UniformGrid(-12.0, 12.0 + 24.0 / 4095, 4096), 16, complex),  # the nu -> 0 limit states
+        (UniformGrid(-9.0, 13.0, 200), 3, float),  # off-centre
+        (UniformGrid(-1.0, 1.0, 9), 2, complex),  # odd count, few rows
+    ],
+    ids=["tomogram", "limit_states", "off_centre", "small"],
+)
+def test_cubic_spline_matches_scipy_not_a_knot(grid, columns, dtype):
+    from scipy.interpolate import CubicSpline, PPoly
+
+    rng = np.random.default_rng(grid.count)
+    x = grid.points
+    values = _packets(
+        x,
+        rng.uniform(x[0] + 0.3 * grid.span, x[-1] - 0.3 * grid.span, columns),
+        rng.uniform(0.05, 0.2, columns) * grid.span,
+        rng.uniform(-3.0, 3.0, columns) if dtype is complex else 0.0,
+    )
+    values = values if dtype is complex else values.real
+    coeffs = cubic_spline_coeffs(values, grid.step)
+    expected = CubicSpline(x, values, axis=0)
+    assert coeffs.shape == expected.c.shape and coeffs.dtype == expected.c.dtype
+    q = np.concatenate([rng.uniform(x[0], x[-1], 4000), x, x[:-1] + 0.5 * grid.step])
+    got = PPoly(coeffs, x)(q)
+    assert np.abs(got - expected(q)).max() < 1e-13
+    assert np.abs(got[4000:4000 + x.size] - values).max() < 1e-13  # interpolates the samples
+
+
+def test_cubic_spline_reproduces_cubics():
+    grid = UniformGrid(-2.0, 3.0, 41)
+    x = grid.points
+    cubic = 0.7 * x**3 - 1.1 * x**2 + 0.3 * x - 2.0
+    coeffs = cubic_spline_coeffs(cubic, grid.step)
+    assert np.abs(coeffs[0] - 0.7).max() < 1e-9
+    with pytest.raises(InvalidInputError):
+        cubic_spline_coeffs(cubic[:3], grid.step)

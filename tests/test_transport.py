@@ -11,6 +11,9 @@ from tomoprop.propagator import evolve_pullback
 from tomoprop.states import GaussianPacket, make_state
 from tomoprop.tomography import angle_grid, optical_slice, tomogram_from_wavefunction
 from tomoprop.transport import (
+    _FROM_BARGMANN,
+    _TO_BARGMANN,
+    _expm,
     bargmann_coords,
     characteristic_flow,
     evolve_optical,
@@ -92,6 +95,42 @@ def test_solve_characteristics_matches_pullback():
         via_pde = solve_characteristics(pde, tomo, t)
         via_pullback = evolve_pullback(tomo, potential, t)
         assert np.abs(via_pde.values - via_pullback.values).max() < 1e-10
+
+
+def flow_generators(alpha, beta, t):
+    """-t A in the frame basis and in the Bargmann basis, as characteristic_flow forms them."""
+    a = reduce_evolution_equation(Potential(alpha, beta)).advection_matrix()
+    return -t * a, -t * (_TO_BARGMANN @ a @ _FROM_BARGMANN)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(-2, 2, allow_nan=False),
+    beta=st.floats(-0.25, 0.5, allow_nan=False),
+    t=st.floats(-3, 3, allow_nan=False),
+)
+def test_expm_matches_scipy_in_both_bases(alpha, beta, t):
+    from scipy.linalg import expm
+
+    for m in flow_generators(alpha, beta, t):
+        want = expm(m)
+        assert np.abs(_expm(m) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(-2, 2, allow_nan=False),
+    beta=st.floats(-0.5, 0.5, allow_nan=False),
+    t=st.floats(-7, 7, allow_nan=False),
+)
+def test_expm_matches_exact_exponential_over_long_times(alpha, beta, t):
+    # scipy's Pade expm drifts to ~4e-13 here, so the oracle is 40-digit mpmath
+    import mpmath
+
+    with mpmath.workdps(40):
+        for m in flow_generators(alpha, beta, t):
+            want = np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(), dtype=complex)
+            assert np.abs(_expm(m) - want).max() <= 2e-14 * np.abs(want).max()
 
 
 @settings(max_examples=50, deadline=None)
