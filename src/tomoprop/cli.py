@@ -62,14 +62,19 @@ def parse_potential(text: str) -> Potential:
         key, _, value = chunk.partition("=")
         if key.strip() not in ("alpha", "beta") or not value:
             raise InvalidInputError(f"cannot parse potential {text!r}")
-        try:
-            number = float(value)
-        except ValueError:
-            raise InvalidInputError(f"cannot parse potential {text!r}") from None
-        if not math.isfinite(number):
-            raise InvalidInputError(f"potential {text!r} has a non-finite coefficient")
-        fields[key.strip()] = number
+        (fields[key.strip()],) = _parse_numbers(value, f"potential {text!r}")
     return Potential(alpha=fields.get("alpha", 0.0), beta=fields.get("beta", 0.0))
+
+
+def _parse_numbers(text: str, what: str) -> list[float]:
+    """Comma-separated finite numbers; `what` names the input in error messages."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidInputError(f"cannot parse {what}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidInputError(f"{what} has a non-finite value")
+    return values
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,6 @@ class RunConfig:
     eps: float = DEFAULT_DAMPING
     kernel_half_width: float = DEFAULT_KERNEL_DOMAIN
     kernel_points: int = DEFAULT_KERNEL_POINTS
-    eps_theta: float = 1e-3
     slices: int = 64
     output: str = "out.csv"
     output_format: str = "csv"
@@ -125,8 +129,6 @@ class RunConfig:
                 raise InvalidInputError(f"{name} must be at least 8, got {count}")
         if not isinstance(self.t, (int, float)) or not math.isfinite(self.t):
             raise InvalidInputError(f"t must be a finite number, got {self.t!r}")
-        if not isinstance(self.eps_theta, (int, float)) or not 0.0 < self.eps_theta < 1.0:
-            raise InvalidInputError(f"eps_theta must be a number in (0, 1), got {self.eps_theta!r}")
         if self.route not in _ROUTES:
             raise InvalidInputError(f"route must be one of {_ROUTES}, got {self.route!r}")
         if self.output_format not in ("csv", "json"):
@@ -171,7 +173,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pos-upper", dest="pos_upper", type=float)
     parser.add_argument("--pos-count", dest="pos_count", type=int)
     parser.add_argument("--eps", type=float, help="kernel damping parameter")
-    parser.add_argument("--eps-theta", dest="eps_theta", type=float)
     parser.add_argument("--slices", type=int, help="time slices for the sliced propagator")
     parser.add_argument("--output", "-o", help="output file path")
     parser.add_argument("--output-format", dest="output_format", choices=("csv", "json"))
@@ -183,9 +184,7 @@ def _base_meta(config: RunConfig) -> dict:
 
 def _initial_tomogram(config: RunConfig) -> Tomogram:
     psi = make_state(config.state, config.position_grid())
-    return tomogram_from_wavefunction(
-        psi, config.x_grid(), angle_grid(config.theta_count), eps_theta=config.eps_theta
-    )
+    return tomogram_from_wavefunction(psi, config.x_grid(), angle_grid(config.theta_count))
 
 
 def _cmd_tomogram(args: argparse.Namespace) -> int:
@@ -238,22 +237,11 @@ def _cmd_green(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_numbers(text: str, flag: str) -> list[float]:
-    """Comma-separated finite numbers of a flag."""
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise InvalidInputError(f"cannot parse {flag} {text!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidInputError(f"{flag} {text!r} has a non-finite value")
-    return values
-
-
 def _cmd_kernel(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     green = GreenFunction.for_potential(config.resolved_potential())
-    k_values = _parse_numbers(args.k, "--k")
-    frames = _parse_numbers(args.frame, "--frame")
+    k_values = _parse_numbers(args.k, f"--k {args.k!r}")
+    frames = _parse_numbers(args.frame, f"--frame {args.frame!r}")
     if len(frames) != 4:
         raise InvalidInputError("--frame needs mu,nu,mu_p,nu_p")
     mu, nu, mu_p, nu_p = frames

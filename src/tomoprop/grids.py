@@ -233,3 +233,20 @@ def cubic_spline_coeffs(values, step: float) -> np.ndarray:
     c[2] = s[:-1]
     c[3] = y[:-1]
     return c
+
+
+def eval_spline(table: np.ndarray, rows, q: np.ndarray, lower: float, step: float, upper: float) -> np.ndarray:
+    """Values at q of stacked cubic splines on the knots lower + i * step; 0 outside [lower, upper].
+
+    `table` holds m splines from cubic_spline_coeffs in segment-major
+    order, shape (m, n - 1, 4) + trailing, so one gather fetches a whole
+    cubic; q[k] is read from spline rows[k].  Returns q.shape + trailing.
+    """
+    n_seg = table.shape[1]
+    seg = np.clip(np.floor((q - lower) / step), 0, n_seg - 1).astype(int)
+    c = table.reshape((-1,) + table.shape[2:])[rows * n_seg + seg]
+    t = q - (lower + seg * step)
+    t = t.reshape(t.shape + (1,) * (c.ndim - q.ndim - 1))
+    out = ((c[:, 0] * t + c[:, 1]) * t + c[:, 2]) * t + c[:, 3]
+    inside = ((q >= lower) & (q <= upper)).reshape(t.shape)
+    return np.where(inside, out, 0.0)

@@ -18,6 +18,7 @@ from .grids import (
     MAX_FINE,
     UniformGrid,
     cubic_spline_coeffs,
+    eval_spline,
     fft_upsample,
     integrate_samples,
     next_fast_len,
@@ -79,22 +80,15 @@ class Tomogram:
 
     @cached_property
     def _segment_coeffs(self) -> np.ndarray:
-        """Spline coefficients, one row (c0, c1, c2, c3) per (slice, segment):
-        row j (n_x - 1) + seg holds the cubic of slice j on segment seg."""
+        """Spline table for eval_spline, (n_theta, n_x - 1, 4): the cubic of slice j on segment seg."""
         # one not-a-knot cubic spline per theta slice, vectorized over slices
         c = cubic_spline_coeffs(self.values.T, self.x_grid.step)  # (4, n_x - 1, n_theta)
-        return np.ascontiguousarray(c.transpose(2, 1, 0)).reshape(-1, 4)
+        return np.ascontiguousarray(c.transpose(2, 1, 0))
 
     def _interp_rows(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Cubic-spline values of slice `rows[q]` at positions `u[q]`; 0 outside."""
-        x = self.x_grid.points
-        n_seg = x.size - 1
-        seg = np.clip(np.floor((u - x[0]) / self.x_grid.step), 0, n_seg - 1).astype(int)
-        tloc = u - x[seg]
-        c = self._segment_coeffs[rows * n_seg + seg]
-        out = ((c[:, 0] * tloc + c[:, 1]) * tloc + c[:, 2]) * tloc + c[:, 3]
-        inside = (u >= x[0]) & (u <= x[-1])
-        return np.where(inside, out, 0.0)
+        g = self.x_grid
+        return eval_spline(self._segment_coeffs, rows, u, g.lower, g.step, g.upper)
 
     def _evaluate_block(self, X: np.ndarray, mu: np.ndarray, nu: np.ndarray, s: np.ndarray) -> np.ndarray:
         """`evaluate` of this lattice tomogram on flat frame arrays with s > 0."""
@@ -219,14 +213,9 @@ def _transform_state_batch(
                 # far below the quadrature error of the oscillatory slices
                 n_fine = min(8 * n_pos, MAX_FINE)
                 fine_step = period / n_fine
-                y_fine = grid.lower + fine_step * np.arange(n_fine)
-                limit_splines = cubic_spline_coeffs(fft_upsample(states, n_fine, axis=1).T, fine_step)
-            q = X / mu
-            seg = np.clip(np.floor((q - grid.lower) / fine_step), 0, n_fine - 2).astype(int)
-            tloc = (q - y_fine[seg])[:, None]
-            c = limit_splines[:, seg]  # (4, n_x, n_states)
-            vals = ((c[0] * tloc + c[1]) * tloc + c[2]) * tloc + c[3]
-            vals[(q < grid.lower) | (q > grid.upper)] = 0.0
+                c = cubic_spline_coeffs(fft_upsample(states, n_fine, axis=1).T, fine_step)
+                limit_splines = c.transpose(1, 0, 2)[None]  # (1, n_fine - 1, 4, n_states)
+            vals = eval_spline(limit_splines, 0, X / mu, grid.lower, fine_step, grid.upper)
             out[j] = (np.abs(vals) ** 2) @ weights / abs(mu)
             continue
         max_freq = (abs(mu) * ymax + xabs) / abs(nu)

@@ -15,7 +15,6 @@ from tomoprop.cli import (
 )
 from tomoprop.errors import InvalidInputError
 from tomoprop.greens import FREE, OSCILLATOR
-from tomoprop.tomography import angle_grid
 
 FAST = ["--theta-count", "48", "--x-count", "101"]
 
@@ -269,28 +268,15 @@ def test_non_finite_tomogram_file_exits_2(tmp_path, capsys):
     assert "non-finite" in json.loads(err.strip())["message"]
 
 
-def test_eps_theta_is_honoured(tmp_path, capsys):
-    paths = {}
-    for eps in ("1e-3", "0.2"):
-        paths[eps] = tmp_path / f"t{eps}.csv"
-        args = ["tomogram", "--state", "gaussian:1,0.5,1", "--eps-theta", eps, "-o", str(paths[eps])]
-        assert run(args + FAST, capsys)[0] == EXIT_OK
-    default = tmp_path / "default.csv"
-    assert run(["tomogram", "--state", "gaussian:1,0.5,1", "-o", str(default)] + FAST, capsys)[0] == EXIT_OK
-    assert default.read_bytes() == paths["1e-3"].read_bytes()
-    a, b = (tio.read_tomogram(paths[eps]).values for eps in ("1e-3", "0.2"))
-    # slices with 1e-3 <= |sin theta| < 0.2 switch to the nu -> 0 limit; the rest keep their bytes
-    switched = np.abs(np.sin(angle_grid(48).points)) < 0.2
-    switched[0] = False  # theta = 0 is the limit under both values
-    assert switched.sum() == 6
-    assert all(a[j].tobytes() != b[j].tobytes() for j in np.flatnonzero(switched))
-    assert np.array_equal(a[~switched], b[~switched])
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "1", "-0.1"])
-def test_invalid_eps_theta_exits_2(tmp_path, capsys, value):
+def test_eps_theta_is_not_an_option(tmp_path, capsys):
+    # the nu -> 0 switch is the fixed tomography.EPS_THETA; neither a flag nor
+    # a config key may be accepted and then ignored
     out = tmp_path / "t.csv"
-    code, _, err = run(["tomogram", "--eps-theta", value, "-o", str(out)] + FAST, capsys)
+    code, _, _ = run(["tomogram", "--eps-theta", "0.2", "-o", str(out)] + FAST, capsys)
+    assert code == EXIT_INVALID
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"eps_theta": 0.2}))
+    code, _, err = run(["tomogram", "--config", str(conf), "-o", str(out)] + FAST, capsys)
     assert code == EXIT_INVALID
     assert "eps_theta" in json.loads(err.strip())["message"]
     assert not out.exists()

@@ -8,6 +8,7 @@ from tomoprop.grids import (
     UniformGrid,
     cubic_spline_coeffs,
     damped_integral_2d,
+    eval_spline,
     fft_upsample,
     integrate_samples,
     next_fast_len,
@@ -151,6 +152,28 @@ def test_cubic_spline_matches_scipy_not_a_knot(grid, columns, dtype):
     got = PPoly(coeffs, x)(q)
     assert np.abs(got - expected(q)).max() < 1e-13
     assert np.abs(got[4000:4000 + x.size] - values).max() < 1e-13  # interpolates the samples
+
+
+def test_eval_spline_matches_ppoly_and_vanishes_outside():
+    from scipy.interpolate import PPoly
+
+    grid = UniformGrid(-9.0, 13.0, 200)
+    x = grid.points
+    rng = np.random.default_rng(5)
+    values = _packets(x, np.array([-2.0, 4.0, 7.0]), np.array([1.0, 2.0, 1.5]), np.array([0.5, -1.0, 2.0]))
+    coeffs = cubic_spline_coeffs(values, grid.step)  # (4, 199, 3)
+    q = np.concatenate([rng.uniform(-10.0, 14.0, 3000), x])
+    inside = (q >= x[0]) & (q <= x[-1])
+    expected = np.where(inside[:, None], PPoly(coeffs, x)(q), 0.0)
+    # stacked splines, one column each, picked per point
+    rows = rng.integers(0, 3, q.size)
+    got = eval_spline(np.ascontiguousarray(coeffs.transpose(2, 1, 0)), rows, q, x[0], grid.step, x[-1])
+    assert np.abs(got - expected[np.arange(q.size), rows]).max() < 1e-15
+    # one spline with trailing columns
+    got = eval_spline(coeffs.transpose(1, 0, 2)[None], 0, q, x[0], grid.step, x[-1])
+    assert got.shape == (q.size, 3)
+    assert np.abs(got - expected).max() < 1e-15
+    assert not got[~inside].any()
 
 
 def test_cubic_spline_reproduces_cubics():
