@@ -22,8 +22,6 @@ from .greens import FREE, OSCILLATOR, GreenFunction, Potential
 from .grids import UniformGrid
 from .propagator import (
     DEFAULT_DAMPING,
-    DEFAULT_KERNEL_DOMAIN,
-    DEFAULT_KERNEL_POINTS,
     KernelFourierQuery,
     compare_tomograms,
     evolve_pullback,
@@ -93,8 +91,6 @@ class RunConfig:
     pos_upper: float = 12.0
     pos_count: int = 512
     eps: float = DEFAULT_DAMPING
-    kernel_half_width: float = DEFAULT_KERNEL_DOMAIN
-    kernel_points: int = DEFAULT_KERNEL_POINTS
     slices: int = 64
     output: str = "out.csv"
     output_format: str = "csv"
@@ -137,14 +133,31 @@ class RunConfig:
         parse_state_spec(self.state)
 
 
+# JSON value types a config file may give each annotated RunConfig field type
+_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_config_file(file_conf) -> None:
+    """Reject a config file that is not an object of known keys with well-typed values."""
+    if not isinstance(file_conf, dict):
+        raise InvalidInputError("config file must hold a JSON object")
+    fields = RunConfig.__dataclass_fields__
+    unknown = set(file_conf) - set(fields)
+    if unknown:
+        raise InvalidInputError(f"unknown config keys {sorted(unknown)}")
+    for key, value in file_conf.items():
+        kind = fields[key].type
+        # bool is an int subclass, but true/false is never a count or a number here
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
+            raise InvalidInputError(f"config key {key!r} must be {kind}, got {value!r}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as handle:
             file_conf = json.load(handle)
-        unknown = set(file_conf) - set(RunConfig.__dataclass_fields__)
-        if unknown:
-            raise InvalidInputError(f"unknown config keys {sorted(unknown)}")
+        _check_config_file(file_conf)
         merged.update(file_conf)
     for name in RunConfig.__dataclass_fields__:
         value = getattr(args, name, None)
@@ -250,9 +263,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         query = KernelFourierQuery(
             k=k, mu=mu, nu=nu, mu_p=mu_p, nu_p=nu_p, t=config.t, green=green, damping=config.eps
         )
-        value = kernel_fourier(
-            query, half_width=config.kernel_half_width, points=config.kernel_points
-        )
+        value = kernel_fourier(query)
         rows.append((k, mu, nu, mu_p, nu_p, config.t, config.eps, value))
     tio.write_kernel_scan(config.output, rows, _base_meta(config))
     return EXIT_OK

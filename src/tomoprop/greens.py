@@ -8,7 +8,7 @@ the classical action.  Natural units hbar = m = 1 throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +61,11 @@ def green_free(x, y, t):
     return pref * np.exp(0.5j * (x - y) ** 2 / t)
 
 
-def green_oscillator(x, y, t, caustic_threshold: float = CAUSTIC_THRESHOLD):
+def green_oscillator(x, y, t):
     """Unit-frequency oscillator kernel away from caustics sin t = 0."""
     st = np.sin(t)
-    if np.any(np.abs(st) <= caustic_threshold):
-        raise CausticError(f"oscillator kernel undefined at t={t} (|sin t| <= {caustic_threshold})")
+    if np.any(np.abs(st) <= CAUSTIC_THRESHOLD):
+        raise CausticError(f"oscillator kernel undefined at t={t} (|sin t| <= {CAUSTIC_THRESHOLD})")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ct = np.cos(t) / st
@@ -228,30 +228,30 @@ def _sliced_coefficients(potential: Potential, dt: float, slices: int):
     return amp, a, b, c, d, e
 
 
-def green_van_fleck(potential: Potential, x2, x1, t: float, fd_step: float = 1e-2):
+def green_van_fleck(potential: Potential, x2, x1, t: float):
     """Quasiclassical kernel from the classical action.
 
-    Amplitude uses the mixed second derivative of S(x2, x1, t), evaluated
-    by central finite differences; the overall constant is fixed so the
-    free-particle case reproduces the exact kernel.  For the supported
-    potential class the action is a quadratic polynomial in the endpoints,
-    so the central difference is exact for any step and the step size only
-    controls rounding error.
+    The amplitude uses the mixed second derivative of S(x2, x1, t).  For the
+    supported potential class the action is a quadratic polynomial in the
+    endpoints, so |d^2 S / dx2 dx1| is the constant 1/t (beta = 0),
+    omega/|sin omega t| (beta > 0) or kappa/sinh kappa t (beta < 0), with
+    omega, kappa = sqrt(+-2 beta).  The overall constant is fixed so the
+    free-particle case reproduces the exact kernel.
     """
     if t <= 0:
         raise InvalidInputError("van Vleck kernel requires t > 0")
     _check_conjugate(potential, t)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
     s = closed_action(potential, x2, x1, t)
-    h = fd_step
-    s12 = (
-        closed_action(potential, x2 + h, x1 + h, t)
-        - closed_action(potential, x2 + h, x1 - h, t)
-        - closed_action(potential, x2 - h, x1 + h, t)
-        + closed_action(potential, x2 - h, x1 - h, t)
-    ) / (4.0 * h * h)
-    return _SQRT_I_INV / np.sqrt(2.0 * np.pi) * np.sqrt(np.abs(s12)) * np.exp(1j * s)
+    beta = potential.beta
+    if beta == 0.0:
+        s12 = 1.0 / t
+    elif beta > 0:
+        omega = np.sqrt(2.0 * beta)
+        s12 = omega / abs(np.sin(omega * t))
+    else:
+        kappa = np.sqrt(-2.0 * beta)
+        s12 = kappa / np.sinh(kappa * t)
+    return _SQRT_I_INV / np.sqrt(2.0 * np.pi) * np.sqrt(s12) * np.exp(1j * s)
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,6 @@ class GreenFunction:
     kind: str
     potential: Potential | None = None
     slices: int | None = None
-    caustic_threshold: float = field(default=CAUSTIC_THRESHOLD)
 
     @classmethod
     def free(cls) -> "GreenFunction":
@@ -295,7 +294,7 @@ class GreenFunction:
     def check_time(self, t: float) -> None:
         if t == 0:
             raise SingularTimeError(f"{self.kind} kernel singular at t = 0")
-        if self.kind == "oscillator" and abs(np.sin(t)) <= self.caustic_threshold:
+        if self.kind == "oscillator" and abs(np.sin(t)) <= CAUSTIC_THRESHOLD:
             raise CausticError(f"oscillator kernel undefined at t={t}")
         if self.kind in ("van-fleck", "sliced"):
             if t < 0:
@@ -306,7 +305,7 @@ class GreenFunction:
         if self.kind == "free":
             return green_free(x, y, t)
         if self.kind == "oscillator":
-            return green_oscillator(x, y, t, self.caustic_threshold)
+            return green_oscillator(x, y, t)
         if self.kind == "van-fleck":
             return green_van_fleck(self.potential, x, y, t)
         if self.kind == "sliced":

@@ -50,35 +50,28 @@ def evolve_pullback(tomo: Tomogram, potential: Potential, t: float) -> Tomogram:
     return tomo.with_frame_map(_pullback_frame_matrix(potential, t))
 
 
-def evolve_via_green(
-    tomo: Tomogram,
-    green: GreenFunction,
-    t: float,
-    *,
-    work_grid: UniformGrid = DEFAULT_WORK_GRID,
-) -> Tomogram:
+def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram:
     """Evolution through the quantum propagator.
 
-    Chain: tomogram -> density matrix (inverse transform) -> rho_t =
-    G rho G^dagger by quadrature -> tomogram (spectral forward transform).
-    The reconstructed density matrix is renormalized to unit trace before
-    propagation, since the exact evolution is trace preserving.  t = 0 is
-    special-cased to the identity chain.  The inverse stage's mu_band,
-    mu_edge_ratio and accuracy_warning join the returned tomogram's meta.
+    Chain: tomogram -> density matrix on DEFAULT_WORK_GRID (inverse
+    transform) -> rho_t = G rho G^dagger by quadrature -> tomogram
+    (spectral forward transform).  The reconstructed density matrix is
+    renormalized to unit trace before propagation, since the exact
+    evolution is trace preserving.  t = 0 is special-cased to the identity
+    chain.  The inverse stage's mu_band, mu_edge_ratio and accuracy_warning
+    join the returned tomogram's meta.
     """
+    work_grid = DEFAULT_WORK_GRID
     rho = density_from_tomogram(tomo, work_grid)
     vals = rho.values / rho.trace()
     if t != 0:
         green.check_time(t)
         x = work_grid.points
-        gm = green(x[:, None], x[None, :], t) * trapezoid_weights(
-            work_grid.count, work_grid.step
-        )
+        weights = trapezoid_weights(work_grid.count, work_grid.step)
+        gm = green(x[:, None], x[None, :], t) * weights
         vals = gm @ vals @ gm.conj().T
         vals = 0.5 * (vals + vals.conj().T)
-        vals = vals / np.sum(np.diag(vals).real * trapezoid_weights(
-            work_grid.count, work_grid.step
-        ))
+        vals = vals / np.sum(np.diag(vals).real * weights)
     rho_t = DensityMatrix(grid=work_grid, values=vals, meta=dict(rho.meta))
     evolved = tomogram_from_density(rho_t, tomo.x_grid, tomo.theta_grid)
     evolved.meta.update(
@@ -139,9 +132,9 @@ def kernel_fourier(
     return q.k**2 / (2.0 * np.pi) * raw
 
 
-def kernel_with_offset(query: KernelFourierQuery, x_prime: float, **kwargs) -> complex:
+def kernel_with_offset(query: KernelFourierQuery, x_prime: float) -> complex:
     """Kernel value at initial offset X'; exactly exp(i k X') times the stored value."""
-    return np.exp(1j * query.k * x_prime) * kernel_fourier(query, **kwargs)
+    return np.exp(1j * query.k * x_prime) * kernel_fourier(query)
 
 
 @dataclass(frozen=True)
@@ -166,24 +159,11 @@ def compare_tomograms(a: Tomogram, b: Tomogram) -> ComparisonReport:
 
 
 def check_composition(
-    route: str,
-    potential: Potential,
-    t_a: float,
-    t_b: float,
-    tomo: Tomogram,
-    **route_kwargs,
+    potential: Potential, t_a: float, t_b: float, tomo: Tomogram
 ) -> ComparisonReport:
-    """Operator-level composition check: evolve(t_a) then evolve(t_b)
-    versus evolve(t_a + t_b), reported as L-inf / L2 over the grid."""
-    if route == "pullback":
-        two = evolve_pullback(evolve_pullback(tomo, potential, t_a), potential, t_b)
-        one = evolve_pullback(tomo, potential, t_a + t_b)
-    elif route == "green":
-        green = GreenFunction.for_potential(potential)
-        two = evolve_via_green(
-            evolve_via_green(tomo, green, t_a, **route_kwargs), green, t_b, **route_kwargs
-        )
-        one = evolve_via_green(tomo, green, t_a + t_b, **route_kwargs)
-    else:
-        raise InvalidInputError(f"unknown composition route {route!r}")
+    """Operator-level composition check of the pullback route: evolve(t_a)
+    then evolve(t_b) versus evolve(t_a + t_b), reported as L-inf / L2 over
+    the grid."""
+    two = evolve_pullback(evolve_pullback(tomo, potential, t_a), potential, t_b)
+    one = evolve_pullback(tomo, potential, t_a + t_b)
     return compare_tomograms(two, one)

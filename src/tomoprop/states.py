@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedStateError
-from .greens import GreenFunction
+from .greens import CAUSTIC_THRESHOLD, GreenFunction
 from .grids import UniformGrid, integrate_samples, refine_samples, trapezoid_weights
 
 DEFAULT_POSITION_GRID = UniformGrid(-12.0, 12.0, 512)
@@ -123,13 +123,6 @@ class WaveFunction:
             raise InvalidInputError("cannot normalize a function with non-finite norm")
         return cls(grid=grid, values=values / norm)
 
-    def interpolate(self, x):
-        """Linear interpolation of the complex amplitude; zero outside the grid."""
-        p = self.grid.points
-        re = np.interp(x, p, self.values.real, left=0.0, right=0.0)
-        im = np.interp(x, p, self.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     """Normalized oscillator eigenfunctions psi_0 .. psi_{n_max} via stable recurrence."""
@@ -154,7 +147,12 @@ def _preset_values(spec: StateSpec, x: np.ndarray) -> np.ndarray:
     if isinstance(spec, GaussianPacket):
         if spec.sigma <= 0:
             raise InvalidInputError(f"packet width must be positive, got {spec.sigma}")
-        amp = (np.pi * spec.sigma**2) ** (-0.25)
+        try:
+            amp = (np.pi * spec.sigma**2) ** (-0.25)
+        except (ZeroDivisionError, OverflowError):
+            raise InvalidInputError(
+                f"packet width {spec.sigma} is out of range: its amplitude cannot be formed"
+            ) from None
         return amp * np.exp(-((x - spec.x0) ** 2) / (2.0 * spec.sigma**2) + 1j * spec.p0 * x)
     if isinstance(spec, Superposition):
         total = np.zeros(x.size, dtype=np.complex128)
@@ -189,13 +187,13 @@ class DensityMatrix:
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.values - self.values.conj().T)))
 
-    def validate(self, trace_tol: float = 1e-6, diag_tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         if self.hermiticity_defect() > 1e-12:
             raise InvalidInputError("density matrix is not Hermitian")
-        if abs(self.trace() - 1.0) > trace_tol:
+        if abs(self.trace() - 1.0) > 1e-6:
             raise InvalidInputError(f"density matrix trace {self.trace()} != 1")
         diag = np.diag(self.values)
-        if np.max(np.abs(diag.imag)) > diag_tol or diag.real.min() < -diag_tol:
+        if np.max(np.abs(diag.imag)) > 1e-10 or diag.real.min() < -1e-10:
             raise InvalidInputError("density-matrix diagonal must be real nonnegative")
 
 
@@ -226,7 +224,7 @@ def evolve_wavefunction(
         return WaveFunction(grid=psi.grid, values=psi.values.copy())
     if green.kind == "oscillator":
         n_half = round(t / np.pi)
-        if abs(np.sin(t)) <= green.caustic_threshold and parity_at_caustics:
+        if abs(np.sin(t)) <= CAUSTIC_THRESHOLD and parity_at_caustics:
             if n_half % 2 == 0:
                 return WaveFunction(grid=psi.grid, values=psi.values.copy())
             return WaveFunction(grid=psi.grid, values=psi.values[::-1].copy())

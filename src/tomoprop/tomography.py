@@ -27,7 +27,12 @@ from .grids import (
 )
 from .states import DensityMatrix, WaveFunction
 
-EPS_THETA = 1e-3
+EPS_THETA = 1e-3  # below this |nu| a slice is the nu -> 0 limit
+MAX_COMPONENTS = 16  # spectral components kept by tomogram_from_density
+WEIGHT_FLOOR = 1e-6  # smallest spectral weight kept
+MU_BAND_START = 16.0  # first mu band of density_from_tomogram
+MU_BAND_MAX = 40.0  # the band doubles up to this
+MU_EDGE_THRESHOLD = 1e-8  # band edge / peak ratio that ends the doubling
 DEFAULT_X_GRID = UniformGrid(-14.0, 14.0, 351)
 DEFAULT_THETA_COUNT = 180
 CONVENTION_VERSION = "tomoprop-conventions-1"
@@ -92,21 +97,9 @@ class Tomogram:
 
     def _evaluate_block(self, X: np.ndarray, mu: np.ndarray, nu: np.ndarray, s: np.ndarray) -> np.ndarray:
         """`evaluate` of this lattice tomogram on flat frame arrays with s > 0."""
-        theta = np.arctan2(nu, mu)
-        tm = np.mod(theta, np.pi)
-        flip = np.round((theta - tm) / np.pi).astype(int) % 2 == 1
+        flip, j0, j1, frac, wrap = _fold_frames(mu, nu, self.theta_grid.count)
         u = np.where(flip, -X, X) / s
-
-        n = self.theta_grid.count
-        dtheta = np.pi / n
-        f = tm / dtheta
-        j0 = np.minimum(f.astype(int), n - 1)
-        frac = f - j0
-        j1 = j0 + 1
-        wrap = j1 == n
         u1 = np.where(wrap, -u, u)
-        j1 = np.where(wrap, 0, j1)
-
         v0 = self._interp_rows(j0, u)
         v1 = self._interp_rows(j1, u1)
         return np.maximum((1.0 - frac) * v0 + frac * v1, 0.0) / s
@@ -169,6 +162,25 @@ class Tomogram:
         )
 
 
+def _fold_frames(mu: np.ndarray, nu: np.ndarray, n: int):
+    """Place the angles of frames (mu, nu) on a stored lattice of n slices over [0, pi).
+
+    Returns `flip` (the angle lies in [pi, 2 pi), so the folded slice is read
+    at -X by parity), the bracketing slices `j0` and `j1`, the linear weight
+    `frac` of `j1`, and `wrap` (`j1` is slice 0 reached across theta = pi,
+    so it too is read at -X).
+    """
+    theta = np.arctan2(nu, mu)
+    tm = np.mod(theta, np.pi)
+    flip = np.round((theta - tm) / np.pi).astype(int) % 2 == 1
+    f = tm / (np.pi / n)
+    j0 = np.minimum(f.astype(int), n - 1)
+    frac = f - j0
+    wrap = j0 + 1 == n
+    j1 = np.where(wrap, 0, j0 + 1)
+    return flip, j0, j1, frac, wrap
+
+
 # --- forward transforms ------------------------------------------------------
 
 
@@ -178,7 +190,6 @@ def _transform_state_batch(
     weights: np.ndarray,
     x_grid: UniformGrid,
     theta_grid: UniformGrid,
-    eps_theta: float,
 ) -> np.ndarray:
     """Tomogram values for rho = sum_k weights[k] |psi_k><psi_k|.
 
@@ -206,7 +217,7 @@ def _transform_state_batch(
     limit_splines = None
     for j, theta in enumerate(theta_grid.points):
         mu, nu = np.cos(theta), np.sin(theta)
-        if abs(nu) < eps_theta:
+        if abs(nu) < EPS_THETA:
             # nu -> 0 limit: w(X, mu, 0) = |psi(X/mu)|^2 / |mu|
             if limit_splines is None:
                 # spline an upsampled copy so the interpolation error stays
@@ -255,9 +266,6 @@ def tomogram_from_wavefunction(
     psi: WaveFunction,
     x_grid: UniformGrid | None = None,
     theta_grid: UniformGrid | None = None,
-    *,
-    eps_theta: float = EPS_THETA,
-    normalize_slices: bool = True,
 ) -> Tomogram:
     """Forward transform of a pure state.
 
@@ -266,16 +274,8 @@ def tomogram_from_wavefunction(
     """
     x_grid = x_grid or DEFAULT_X_GRID
     theta_grid = theta_grid or angle_grid()
-    vals = _transform_state_batch(
-        psi.grid,
-        psi.values[None, :],
-        np.array([1.0]),
-        x_grid,
-        theta_grid,
-        eps_theta,
-    )
-    if normalize_slices:
-        vals = _normalize_slices(vals, x_grid.step)
+    vals = _transform_state_batch(psi.grid, psi.values[None, :], np.array([1.0]), x_grid, theta_grid)
+    vals = _normalize_slices(vals, x_grid.step)
     return Tomogram(x_grid=x_grid, theta_grid=theta_grid, values=vals)
 
 
@@ -283,11 +283,6 @@ def tomogram_from_density(
     rho: DensityMatrix,
     x_grid: UniformGrid | None = None,
     theta_grid: UniformGrid | None = None,
-    *,
-    eps_theta: float = EPS_THETA,
-    normalize_slices: bool = True,
-    weight_floor: float = 1e-6,
-    max_components: int = 16,
 ) -> Tomogram:
     """Forward transform of a (possibly mixed) density matrix.
 
@@ -302,19 +297,18 @@ def tomogram_from_density(
     evals, evecs = np.linalg.eigh(rho.values)
     weights = evals * h  # integral-operator eigenvalues
     order = np.argsort(-np.abs(weights))
-    keep = [k for k in order[:max_components] if abs(weights[k]) >= weight_floor]
+    keep = [k for k in order[:MAX_COMPONENTS] if abs(weights[k]) >= WEIGHT_FLOOR]
     if not keep:
         raise InvalidInputError("density matrix has no significant spectral weight")
     states = (evecs[:, keep].T / np.sqrt(h)).astype(np.complex128)  # L2-normalized
     w = weights[keep]
-    vals = _transform_state_batch(rho.grid, states, w, x_grid, theta_grid, eps_theta)
+    vals = _transform_state_batch(rho.grid, states, w, x_grid, theta_grid)
     if vals.min() < -1e-3:
         raise InvalidInputError(
             f"density matrix is too indefinite for a tomogram (min value {vals.min():.3g})"
         )
     vals = np.maximum(vals, 0.0)  # clamp before normalization so slices stay exact
-    if normalize_slices:
-        vals = _normalize_slices(vals, x_grid.step)
+    vals = _normalize_slices(vals, x_grid.step)
     return Tomogram(
         x_grid=x_grid,
         theta_grid=theta_grid,
@@ -374,23 +368,12 @@ def _slice_characteristic(
         )
         return q * np.exp(1j * freq * u_centre[rows])
 
-    dtheta = np.pi / n
-
     mu = mu.ravel()
-    nu_b = nu.ravel()
-    s = np.hypot(mu, nu_b)
-    theta = np.arctan2(nu_b, mu)
-    tm = np.mod(theta, np.pi)
-    flip = np.round((theta - tm) / np.pi).astype(int) % 2 == 1
+    nu = nu.ravel()
+    s = np.hypot(mu, nu)
+    flip, j0, j1, frac, wrap = _fold_frames(mu, nu, n)
     freq = np.where(flip, -s, s)
-
-    f = tm / dtheta
-    j0 = np.minimum(f.astype(int), n - 1)
-    frac = f - j0
-    j1 = j0 + 1
-    wrap = j1 == n
     f1 = np.where(wrap, -freq, freq)
-    j1 = np.where(wrap, 0, j1)
 
     out = np.empty(mu.size, dtype=np.complex128)
     chunk = 1 << 16
@@ -407,21 +390,18 @@ def density_from_tomogram(
     tomo: Tomogram,
     target_grid: UniformGrid,
     *,
-    mu_max: float = 40.0,
     mu_step: float = 0.05,
-    eps_mu: float = 0.0,
-    initial_band: float = 16.0,
-    edge_threshold: float = 1e-8,
 ) -> DensityMatrix:
     """Inverse transform rho(x, x') = (1/2 pi) iint w(X, mu, x - x')
     exp(i (X - mu (x + x')/2)) dmu dX.
 
-    The mu integral is truncated at |mu| <= mu_max with optional Gaussian
-    damping exp(-eps_mu mu^2).  Computation exploits that the integrand
-    depends on (x, x') only through nu = x - x' and sigma = x + x', both of
-    which live on small difference/sum lattices of the target grid.  The mu
-    band grows adaptively until the boundary integrand is negligible; if it
-    is still large at mu_max an accuracy warning lands in the metadata.
+    The mu integral is truncated at |mu| <= MU_BAND_MAX.  Computation
+    exploits that the integrand depends on (x, x') only through nu = x - x'
+    and sigma = x + x', both of which live on small difference/sum lattices
+    of the target grid.  The mu band starts at MU_BAND_START and doubles
+    until the boundary integrand is below MU_EDGE_THRESHOLD of its peak; if
+    it is still larger at MU_BAND_MAX an accuracy warning lands in the
+    metadata.
     """
     x = target_grid.points
     n = target_grid.count
@@ -429,7 +409,7 @@ def density_from_tomogram(
     nu_vals = np.arange(-(n - 1), n) * h
     sigma_vals = 2.0 * target_grid.lower + np.arange(2 * n - 1) * h
 
-    band = min(initial_band, mu_max)
+    band = MU_BAND_START
     while True:
         m_half = int(np.ceil(band / mu_step))
         mu_axis = np.arange(-m_half, m_half + 1) * mu_step
@@ -438,14 +418,12 @@ def density_from_tomogram(
         edge = max(np.abs(K[0]).max(), np.abs(K[-1]).max())
         peak = np.abs(K).max()
         edge_ratio = edge / peak if peak > 0 else 0.0
-        if edge_ratio <= edge_threshold or band >= mu_max:
+        if edge_ratio <= MU_EDGE_THRESHOLD or band >= MU_BAND_MAX:
             break
-        band = min(2.0 * band, mu_max)
-    accuracy_warning = edge_ratio > edge_threshold
+        band = min(2.0 * band, MU_BAND_MAX)
+    accuracy_warning = edge_ratio > MU_EDGE_THRESHOLD
 
     w_mu = trapezoid_weights(mu_axis.size, mu_step)
-    if eps_mu > 0:
-        w_mu = w_mu * np.exp(-eps_mu * mu_axis**2)
     phases = np.exp(-0.5j * np.outer(mu_axis, sigma_vals))
     table = (K.T * w_mu) @ phases / (2.0 * np.pi)  # (n_nu, n_sigma)
 

@@ -150,7 +150,7 @@ def test_criterion_4_stationarity_and_period(ground_tomo):
 def test_criterion_5_composition(packet_tomo):
     worst_pull = 0.0
     for potential in (FREE, OSCILLATOR):
-        rep = check_composition("pullback", potential, 0.5, 0.5, packet_tomo)
+        rep = check_composition(potential, 0.5, 0.5, packet_tomo)
         worst_pull = max(worst_pull, rep.linf)
     report("criterion 5a (pullback composition 0.5+0.5 vs 1.0)", worst_pull, 1e-10)
 

@@ -10,6 +10,7 @@ from tomoprop.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     RunConfig,
+    build_parser,
     main,
     parse_potential,
 )
@@ -279,6 +280,60 @@ def test_eps_theta_is_not_an_option(tmp_path, capsys):
     code, _, err = run(["tomogram", "--config", str(conf), "-o", str(out)] + FAST, capsys)
     assert code == EXIT_INVALID
     assert "eps_theta" in json.loads(err.strip())["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width", ["1e-200", "1e200"])
+def test_packet_width_without_an_amplitude_exits_2(tmp_path, capsys, width):
+    # the width's square underflows to 0 or overflows, so (pi sigma^2)^(-1/4) has no value
+    out = tmp_path / "t.csv"
+    code, _, err = run(["tomogram", "--state", f"gaussian:0,0,{width}", "-o", str(out)] + FAST, capsys)
+    assert code == EXIT_INVALID
+    assert "width" in json.loads(err.strip())["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "conf",
+    [{"x_count": "abc"}, {"x_count": 351.0}, {"t": True}, {"state": 3}, ["x_count"]],
+    ids=["str-for-int", "float-for-int", "bool-for-float", "int-for-str", "not-an-object"],
+)
+def test_config_file_values_are_type_checked(tmp_path, capsys, conf):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    out = tmp_path / "t.csv"
+    code, _, err = run(["tomogram", "--config", str(path), "-o", str(out)] + FAST, capsys)
+    assert code == EXIT_INVALID
+    if isinstance(conf, dict):
+        assert next(iter(conf)) in json.loads(err.strip())["message"]
+    assert not out.exists()
+
+
+def test_valid_config_file_runs(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"state": "ho:1", "t": 1, "x_lower": -10, "x_count": 101, "theta_count": 48}))
+    out = tmp_path / "t.csv"
+    code, _, _ = run(["tomogram", "--config", str(path), "-o", str(out)], capsys)
+    assert code == EXIT_OK
+    config = json.loads(tio.meta_path_for(out).read_text())["config"]
+    assert (config["state"], config["x_lower"], config["x_count"]) == ("ho:1", -10, 101)
+
+
+def test_every_config_key_is_a_flag():
+    # a key that only a config file could set would be a hidden setting
+    (subparsers,) = [a for a in build_parser()._actions if a.choices and hasattr(a, "add_parser")]
+    dests = {a.dest for p in subparsers.choices.values() for a in p._actions if a.option_strings}
+    assert set(RunConfig.__dataclass_fields__) <= dests
+
+
+@pytest.mark.parametrize("key", ["kernel_points", "kernel_half_width"])
+def test_kernel_grid_is_not_a_config_key(tmp_path, capsys, key):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({key: 101}))
+    out = tmp_path / "scan.csv"
+    code, _, err = run(["kernel", "--config", str(path), "-o", str(out)], capsys)
+    assert code == EXIT_INVALID
+    assert key in json.loads(err.strip())["message"]
     assert not out.exists()
 
 

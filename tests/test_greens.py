@@ -22,6 +22,7 @@ from tomoprop.greens import (
     green_sliced,
     green_van_fleck,
 )
+from tomoprop.propagator import DEFAULT_WORK_GRID
 
 
 def test_free_kernel_normalization_value():
@@ -173,6 +174,27 @@ def test_van_fleck_exact_for_free_and_oscillator():
         assert np.abs(vf - green_free(xs[:, None], xs[None, :], t)).max() < 1e-10
         vo = green_van_fleck(OSCILLATOR, xs[:, None], xs[None, :], t)
         assert np.abs(vo - green_oscillator(xs[:, None], xs[None, :], t)).max() < 1e-6
+
+
+def test_van_fleck_amplitude_exact_on_work_grid():
+    # the amplitude is the exact |d^2 S / dx dy|, free of the rounding noise a
+    # finite difference of S carries where S is large
+    x = DEFAULT_WORK_GRID.points
+    out, src = x[:, None], x[None, :]
+    for t in (0.4, 0.8, 1.2):
+        ref = green_oscillator(out, src, t)
+        got = green_van_fleck(OSCILLATOR, out, src, t)
+        assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-12
+        for alpha, beta in ((0.0, -0.2), (0.5, -0.3)):
+            kappa = np.sqrt(-2.0 * beta)
+            u2, u1 = out + alpha / (2.0 * beta), src + alpha / (2.0 * beta)
+            ch, sh = np.cosh(kappa * t), np.sinh(kappa * t)
+            action = kappa * ((u1**2 + u2**2) * ch - 2.0 * u1 * u2) / (2.0 * sh) + alpha**2 * t / (4.0 * beta)
+            ref = np.exp(-0.25j * np.pi) * np.sqrt(kappa / (2.0 * np.pi * sh)) * np.exp(1j * action)
+            got = green_van_fleck(Potential(alpha, beta), out, src, t)
+            assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-12
+    with pytest.raises(DegenerateBVPError):
+        green_van_fleck(OSCILLATOR, 0.0, 0.0, np.pi)
 
 
 def test_van_fleck_linear_potential_matches_sliced():

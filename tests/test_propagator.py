@@ -47,7 +47,7 @@ def test_pullback_oscillator_matches_schroedinger_evolution(packet_tomogram):
 
 def test_pullback_composition_exact(packet_tomogram):
     for potential in (FREE, OSCILLATOR):
-        report = check_composition("pullback", potential, 0.5, 0.5, packet_tomogram)
+        report = check_composition(potential, 0.5, 0.5, packet_tomogram)
         assert report.linf < 1e-10
 
 

@@ -265,7 +265,7 @@ FEW_ANGLES = UniformGrid(0.3, 2.9, 8)
 def test_forward_transform_matches_dense_sum(x_grid, spec):
     psi = make_state(spec)
     states, weights = psi.values[None, :], np.array([1.0])
-    got = _transform_state_batch(psi.grid, states, weights, x_grid, FEW_ANGLES, EPS_THETA)
+    got = _transform_state_batch(psi.grid, states, weights, x_grid, FEW_ANGLES)
     want = dense_transform_batch(psi.grid, states, weights, x_grid, FEW_ANGLES)
     assert np.abs(got - want).max() < 1e-10
 
@@ -276,7 +276,7 @@ def test_forward_transform_matches_dense_sum_for_signed_mixture():
     states = np.array([make_state(spec, grid).values for spec in specs], dtype=np.complex128)
     before = states.copy()
     weights = np.array([0.4, 0.3, -0.05, 0.25, -0.02, 0.12])
-    got = _transform_state_batch(grid, states, weights, DEFAULT_X_GRID, FEW_ANGLES, EPS_THETA)
+    got = _transform_state_batch(grid, states, weights, DEFAULT_X_GRID, FEW_ANGLES)
     want = dense_transform_batch(grid, states, weights, DEFAULT_X_GRID, FEW_ANGLES)
     assert np.abs(got - want).max() < 1e-10
     assert np.array_equal(states, before)  # the caller's states are never written
@@ -287,7 +287,7 @@ def test_forward_transform_matches_dense_sum_near_nu_zero():
     theta_grid = UniformGrid(0.002, 0.002 + 7 * np.pi / 8, 8)
     psi = make_state("gaussian:1,0.5,1")
     states, weights = psi.values[None, :], np.array([1.0])
-    got = _transform_state_batch(psi.grid, states, weights, DEFAULT_X_GRID, theta_grid, EPS_THETA)
+    got = _transform_state_batch(psi.grid, states, weights, DEFAULT_X_GRID, theta_grid)
     want = dense_transform_batch(psi.grid, states, weights, DEFAULT_X_GRID, theta_grid)
     assert np.abs(got - want).max() < 1e-10
 
