@@ -36,13 +36,11 @@ def main() -> int:
     psi = make_state(args.state)
     tomo = tomogram_from_wavefunction(psi, theta_grid=angle_grid(args.theta_count))
 
-    results = {}
-    if potential.is_free or potential.is_unit_oscillator:
-        results["pullback"] = evolve_pullback(tomo, potential, args.t)
-    results["green"] = evolve_via_green(tomo, GreenFunction.for_potential(potential), args.t)
-    results["pde"] = solve_characteristics(
-        reduce_evolution_equation(potential), tomo, args.t
-    )
+    results = {
+        "pullback": evolve_pullback(tomo, potential, args.t),
+        "green": evolve_via_green(tomo, GreenFunction.for_potential(potential), args.t),
+        "pde": solve_characteristics(reduce_evolution_equation(potential), tomo, args.t),
+    }
 
     prefix = Path(args.output)
     for name, evolved in results.items():

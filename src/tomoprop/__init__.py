@@ -24,6 +24,7 @@ from .greens import (
     GreenFunction,
     Potential,
     action_of_path,
+    classical_flow,
     classical_trajectory,
     closed_action,
     green_free,

@@ -93,7 +93,6 @@ class RunConfig:
     eps: float = DEFAULT_DAMPING
     slices: int = 64
     output: str = "out.csv"
-    output_format: str = "csv"
 
     def x_grid(self) -> UniformGrid:
         return UniformGrid(self.x_lower, self.x_upper, self.x_count)
@@ -105,16 +104,6 @@ class RunConfig:
         return parse_potential(self.potential)
 
     def validate(self) -> None:
-        """Every check, including the pullback route's potential restriction."""
-        self._validate_common()
-        potential = self.resolved_potential()
-        if self.route == "pullback" and not (potential.is_free or potential.is_unit_oscillator):
-            raise InvalidInputError(
-                "pullback route supports only the free particle (alpha=0, beta=0) "
-                "and the unit oscillator (alpha=0, beta=0.5)"
-            )
-
-    def _validate_common(self) -> None:
         """Checks that hold whichever subcommand runs."""
         for name, count in (
             ("x_count", self.x_count),
@@ -127,8 +116,6 @@ class RunConfig:
             raise InvalidInputError(f"t must be a finite number, got {self.t!r}")
         if self.route not in _ROUTES:
             raise InvalidInputError(f"route must be one of {_ROUTES}, got {self.route!r}")
-        if self.output_format not in ("csv", "json"):
-            raise InvalidInputError(f"output format must be csv or json, got {self.output_format!r}")
         self.resolved_potential()
         parse_state_spec(self.state)
 
@@ -137,38 +124,40 @@ class RunConfig:
 _CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
-def _check_config_file(file_conf) -> None:
-    """Reject a config file that is not an object of known keys with well-typed values."""
+def _config_file_values(file_conf) -> dict:
+    """A config file's values after rejecting a non-object, unknown keys and
+    ill-typed values; float fields are stored as floats, so a file's -10
+    and the flag --x-lower -10 resolve to the same configuration."""
     if not isinstance(file_conf, dict):
         raise InvalidInputError("config file must hold a JSON object")
     fields = RunConfig.__dataclass_fields__
     unknown = set(file_conf) - set(fields)
     if unknown:
         raise InvalidInputError(f"unknown config keys {sorted(unknown)}")
+    values = {}
     for key, value in file_conf.items():
         kind = fields[key].type
         # bool is an int subclass, but true/false is never a count or a number here
         if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
             raise InvalidInputError(f"config key {key!r} must be {kind}, got {value!r}")
+        try:
+            values[key] = float(value) if kind == "float" else value
+        except OverflowError:
+            raise InvalidInputError(f"config key {key!r} is out of range, got {value!r}") from None
+    return values
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as handle:
-            file_conf = json.load(handle)
-        _check_config_file(file_conf)
-        merged.update(file_conf)
+            merged.update(_config_file_values(json.load(handle)))
     for name in RunConfig.__dataclass_fields__:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
     config = RunConfig(**merged)
-    # only `evolve` follows a route; the default route must not restrict the others
-    if args.command == "evolve":
-        config.validate()
-    else:
-        config._validate_common()
+    config.validate()
     return config
 
 
@@ -188,7 +177,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps", type=float, help="kernel damping parameter")
     parser.add_argument("--slices", type=int, help="time slices for the sliced propagator")
     parser.add_argument("--output", "-o", help="output file path")
-    parser.add_argument("--output-format", dest="output_format", choices=("csv", "json"))
 
 
 def _base_meta(config: RunConfig) -> dict:

@@ -2,8 +2,9 @@
 
 Closed forms for free motion and the unit oscillator, the sliced path
 integral evaluated by exact Gaussian marginalization, the classical
-boundary-value solver, and the van Vleck quasiclassical kernel built from
-the classical action.  Natural units hbar = m = 1 throughout.
+phase-space flow with the boundary-value solver built on it, and the van
+Vleck quasiclassical kernel built from the classical action.  Natural
+units hbar = m = 1 throughout.
 """
 
 from __future__ import annotations
@@ -95,14 +96,35 @@ def _check_conjugate(potential: Potential, duration: float) -> None:
             )
 
 
+def classical_flow(potential: Potential, t):
+    """Phase-space flow (x, p)(t) = m @ (x, p)(0) + c of H = p^2/2 + U(x).
+
+    With w = sqrt(2 beta) (imaginary for beta < 0, where cos and sin turn
+    into cosh and sinh), m = [[cos wt, sin(wt)/w], [-2 beta sin(wt)/w,
+    cos wt]] and c = -alpha (2 sin^2(wt/2)/w^2, sin(wt)/w); beta = 0 takes
+    the w -> 0 limits.  Broadcasts over t: m has shape (2, 2) + shape(t) and
+    c has shape (2,) + shape(t).
+    """
+    t = np.asarray(t, dtype=float)
+    alpha, beta = potential.alpha, potential.beta
+    if beta == 0.0:
+        cos_wt, sin_w, half_sin_w = np.ones_like(t), t, 0.5 * t
+    else:
+        w = np.sqrt(abs(2.0 * beta))
+        cos, sin = (np.cos, np.sin) if beta > 0 else (np.cosh, np.sinh)
+        cos_wt, sin_w, half_sin_w = cos(w * t), sin(w * t) / w, sin(0.5 * w * t) / w
+    m = np.array([[cos_wt, sin_w], [-2.0 * beta * sin_w, cos_wt]])
+    c = -alpha * np.array([2.0 * half_sin_w**2, sin_w])
+    return m, c
+
+
 def classical_trajectory(
     potential: Potential, x1: float, x2: float, duration: float, slices: int
 ) -> ClassicalPath:
     """Solve xddot = -U'(x) with x(0) = x1, x(T) = x2 in closed form.
 
-    The potential is at most quadratic, so the solution is a line plus
-    parabola (beta = 0), trigonometric (beta > 0), or hyperbolic (beta < 0)
-    interpolation between the endpoints.
+    The initial momentum p0 is solved from x(T) = m00 x1 + m01 p0 + c0 of
+    the classical flow, which then gives the path at every slice time.
     """
     if duration <= 0:
         raise InvalidInputError("trajectory duration must be positive")
@@ -110,22 +132,9 @@ def classical_trajectory(
         raise InvalidInputError("need at least one time slice")
     _check_conjugate(potential, duration)
     t = np.linspace(0.0, duration, slices + 1)
-    alpha, beta = potential.alpha, potential.beta
-    if beta == 0.0:
-        # constant acceleration -alpha
-        v0 = (x2 - x1) / duration + 0.5 * alpha * duration
-        x = x1 + v0 * t - 0.5 * alpha * t**2
-    else:
-        shift = alpha / (2.0 * beta)
-        u1, u2 = x1 + shift, x2 + shift
-        if beta > 0:
-            omega = np.sqrt(2.0 * beta)
-            s = np.sin(omega * duration)
-            x = (u1 * np.sin(omega * (duration - t)) + u2 * np.sin(omega * t)) / s - shift
-        else:
-            kappa = np.sqrt(-2.0 * beta)
-            s = np.sinh(kappa * duration)
-            x = (u1 * np.sinh(kappa * (duration - t)) + u2 * np.sinh(kappa * t)) / s - shift
+    m, c = classical_flow(potential, t)
+    p0 = (x2 - m[0, 0, -1] * x1 - c[0, -1]) / m[0, 1, -1]
+    x = m[0, 0] * x1 + m[0, 1] * p0 + c[0]
     x[0] = x1
     x[-1] = x2
     return ClassicalPath(times=t, positions=x)
@@ -231,26 +240,18 @@ def _sliced_coefficients(potential: Potential, dt: float, slices: int):
 def green_van_fleck(potential: Potential, x2, x1, t: float):
     """Quasiclassical kernel from the classical action.
 
-    The amplitude uses the mixed second derivative of S(x2, x1, t).  For the
-    supported potential class the action is a quadratic polynomial in the
-    endpoints, so |d^2 S / dx2 dx1| is the constant 1/t (beta = 0),
-    omega/|sin omega t| (beta > 0) or kappa/sinh kappa t (beta < 0), with
-    omega, kappa = sqrt(+-2 beta).  The overall constant is fixed so the
+    The amplitude is |d^2 S / dx2 dx1|^(1/2).  For the supported potential
+    class the action is a quadratic polynomial in the endpoints, and its
+    mixed derivative is the constant 1/|m01|, where m01 = dx(t)/dp(0) is
+    read off the classical flow.  The overall constant is fixed so the
     free-particle case reproduces the exact kernel.
     """
     if t <= 0:
         raise InvalidInputError("van Vleck kernel requires t > 0")
     _check_conjugate(potential, t)
     s = closed_action(potential, x2, x1, t)
-    beta = potential.beta
-    if beta == 0.0:
-        s12 = 1.0 / t
-    elif beta > 0:
-        omega = np.sqrt(2.0 * beta)
-        s12 = omega / abs(np.sin(omega * t))
-    else:
-        kappa = np.sqrt(-2.0 * beta)
-        s12 = kappa / np.sinh(kappa * t)
+    m, _ = classical_flow(potential, t)
+    s12 = 1.0 / abs(m[0, 1])
     return _SQRT_I_INV / np.sqrt(2.0 * np.pi) * np.sqrt(s12) * np.exp(1j * s)
 
 

@@ -1,7 +1,7 @@
 """Time evolution of tomograms.
 
-Three routes live here: exact coordinate pullbacks for the free particle
-and the unit oscillator (the delta-kernel propagators read as frame
+Three routes live here: exact coordinate pullbacks along the classical
+flow of any quadratic potential (the delta-kernel propagators read as frame
 flows), evolution through a quantum Green function (tomogram -> density
 matrix -> evolved density matrix -> tomogram), and the regularized
 Fourier-component kernel evaluator connecting the transition-probability
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedPotentialError
-from .greens import GreenFunction, Potential
+from .errors import InvalidInputError
+from .greens import GreenFunction, Potential, classical_flow
 from .grids import UniformGrid, damped_integral_2d, trapezoid_weights
 from .states import DensityMatrix
 from .tomography import Tomogram, density_from_tomogram, tomogram_from_density
@@ -27,24 +27,25 @@ DEFAULT_DAMPING = 1e-3
 
 
 def _pullback_frame_matrix(potential: Potential, t: float) -> np.ndarray:
-    """Linear map on (X, mu, nu) whose pullback realizes the delta kernel."""
-    if potential.is_free:
-        return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, t, 1.0]])
-    if potential.is_unit_oscillator:
-        c, s = np.cos(t), np.sin(t)
-        return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    raise UnsupportedPotentialError(
-        "pullback evolution supports only free motion and the unit oscillator"
-    )
+    """Linear map on (X, mu, nu) whose pullback realizes the delta kernel.
+
+    Along the classical flow (x, p)(t) = m (x, p) + c the quadrature
+    mu x(t) + nu p(t) is (m00 mu + m10 nu) x + (m01 mu + m11 nu) p
+    + c0 mu + c1 nu, so the evolved tomogram at (X, mu, nu) is the initial
+    one at (X - c0 mu - c1 nu, m00 mu + m10 nu, m01 mu + m11 nu).
+    """
+    m, c = classical_flow(potential, t)
+    return np.array([[1.0, -c[0], -c[1]], [0.0, m[0, 0], m[1, 0]], [0.0, m[0, 1], m[1, 1]]])
 
 
 def evolve_pullback(tomo: Tomogram, potential: Potential, t: float) -> Tomogram:
     """Exact evolution by evaluating the initial tomogram at flowed frames.
 
-    Free motion sends (X, mu, nu) to (X, mu, nu + mu t); the oscillator
-    rotates (mu, nu) by t.  Frame magnitudes away from the unit circle are
-    handled by the homogeneity law inside Tomogram.evaluate.  Repeated
-    pullbacks compose their frame maps exactly, so composition and
+    Free motion sends (X, mu, nu) to (X, mu, nu + mu t); the unit oscillator
+    rotates (mu, nu) by t; every other quadratic potential shears, rotates
+    or squeezes (mu, nu) and shifts X.  Frame magnitudes away from the unit
+    circle are handled by the homogeneity law inside Tomogram.evaluate.
+    Repeated pullbacks compose their frame maps exactly, so composition and
     invertibility hold to rounding error on lattice-aligned queries.
     """
     return tomo.with_frame_map(_pullback_frame_matrix(potential, t))

@@ -1,11 +1,10 @@
 """Evolution-equation route.
 
 For potentials of degree <= 2 the tomographic evolution equation reduces
-to a first-order transport PDE in (X, mu, nu); the reduction is done by an
-explicit symbolic expansion in commuting operator symbols, and the solve
-is by characteristics (a linear flow, integrated in closed form through a
-matrix exponential).  Bargmann variables z = mu + i nu give the optical
-slice as the unit circle.
+to a first-order transport PDE in (X, mu, nu) with closed-form
+coefficients, and the solve is by characteristics (a linear flow,
+integrated through a matrix exponential).  Bargmann variables
+z = mu + i nu give the optical slice as the unit circle.
 """
 
 from __future__ import annotations
@@ -19,34 +18,7 @@ from .greens import Potential
 from .tomography import Tomogram, optical_slice
 
 
-# --- symbolic reduction ------------------------------------------------------
-#
-# Monomials are keyed (p_dX, p_dmu, p_nu): powers of d/dX (negative allowed,
-# standing for the inverse symbol), d/dmu, and the multiplier nu.  All three
-# commute inside the potential-operator argument.
-
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for ka, va in p.items():
-        for kb, vb in q.items():
-            key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
-            out[key] = out.get(key, 0.0) + va * vb
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_add(p: dict, q: dict, scale=1.0) -> dict:
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, 0.0) + scale * v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_pow(p: dict, n: int) -> dict:
-    out = {(0, 0, 0): 1.0}
-    for _ in range(n):
-        out = _poly_mul(out, p)
-    return out
+# --- reduction ---------------------------------------------------------------
 
 
 def _potential_coefficients(potential) -> list[float]:
@@ -73,15 +45,9 @@ class TransportPDE:
         """Matrix A with d/ds (X, mu, nu) = A (X, mu, nu) along characteristics."""
         a = np.zeros((3, 3))
         for target, coeffs in ((0, self.c_x), (1, self.c_mu), (2, self.c_nu)):
-            for (p_mu, p_nu), c in coeffs.items():
-                if (p_mu, p_nu) == (1, 0):
-                    a[target, 1] += c
-                elif (p_mu, p_nu) == (0, 1):
-                    a[target, 2] += c
-                elif c != 0:
-                    raise UnsupportedPotentialError(
-                        "characteristic flow is closed-form only for linear coefficients"
-                    )
+            # linear coefficients: key (1, 0) multiplies mu, (0, 1) multiplies nu
+            for (_, p_nu), c in coeffs.items():
+                a[target, 1 + p_nu] += c
         return a
 
 
@@ -89,47 +55,24 @@ def reduce_evolution_equation(potential) -> TransportPDE:
     """Reduce the tomographic evolution equation to its transport form.
 
     Accepts a Potential or a polynomial coefficient sequence [c0, c1, c2]
-    for U(x) = sum c_j x^j.  The reduction expands the difference of the
-    potential operator at the two commuting symbol arguments
-    -(d/dX)^{-1} d/dmu -+ i (nu/2) d/dX and collects first-order terms;
-    degree > 2 would leave a genuinely pseudo-differential operator and is
+    for U(x) = sum c_j x^j.  The potential enters as -i [U(A-) - U(A+)]
+    with the commuting symbol arguments A-+ = -(d/dX)^{-1} d/dmu -+
+    i (nu/2) d/dX.  Since A- - A+ = -i nu d/dX and A- + A+ = -2 (d/dX)^{-1}
+    d/dmu, alpha x + beta x^2 leaves the first-order terms c_X = -alpha nu
+    and c_mu = 2 beta nu, next to c_nu = -mu from the kinetic term; degree
+    > 2 would leave a genuinely pseudo-differential operator and is
     rejected.
     """
-    coeffs = _potential_coefficients(potential)
-    if len(coeffs) > 3 and any(c != 0 for c in coeffs[3:]):
+    _, alpha, beta, *higher = _potential_coefficients(potential) + [0.0, 0.0, 0.0]
+    if any(higher):
         raise UnsupportedPotentialError(
             "evolution-equation reduction supports polynomial potentials of degree <= 2"
         )
-    base = {(-1, 1, 0): -1.0}  # -(d/dX)^{-1} d/dmu
-    half_nu_dx = {(1, 0, 1): 0.5}  # (nu/2) d/dX
-    arg_minus = _poly_add(base, half_nu_dx, scale=-1j)
-    arg_plus = _poly_add(base, half_nu_dx, scale=+1j)
-    diff: dict = {}
-    for degree, c in enumerate(coeffs[:3]):
-        if c == 0:
-            continue
-        diff = _poly_add(
-            diff, _poly_add(_poly_pow(arg_minus, degree), _poly_pow(arg_plus, degree), -1.0), c
-        )
-    # equation: d_t w - mu d_nu w - i * diff(w) = 0; move everything to
-    # advection form d_t w + c_X d_X + c_mu d_mu + c_nu d_nu = 0.
-    c_x: dict = {}
-    c_mu: dict = {}
-    for (p_dx, p_dmu, p_nu), v in diff.items():
-        coeff = -1j * v
-        if abs(coeff.imag) > 1e-14:
-            raise UnsupportedPotentialError("reduction produced a non-real advection term")
-        coeff = coeff.real
-        if (p_dx, p_dmu) == (1, 0):
-            c_x[(0, p_nu)] = c_x.get((0, p_nu), 0.0) + coeff
-        elif (p_dx, p_dmu) == (0, 1):
-            c_mu[(0, p_nu)] = c_mu.get((0, p_nu), 0.0) + coeff
-        else:
-            raise UnsupportedPotentialError(
-                f"reduction left a higher-order operator term {(p_dx, p_dmu, p_nu)}"
-            )
-    c_nu = {(1, 0): -1.0}
-    return TransportPDE(c_x=c_x, c_mu=c_mu, c_nu=c_nu)
+    return TransportPDE(
+        c_x={(0, 1): -alpha} if alpha else {},
+        c_mu={(0, 1): 2.0 * beta} if beta else {},
+        c_nu={(1, 0): -1.0},
+    )
 
 
 # --- characteristics ---------------------------------------------------------

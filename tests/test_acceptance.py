@@ -242,13 +242,19 @@ def test_criterion_9_pde_reduction_and_solve(packet_tomo):
     print("[PASS] criterion 9a (symbolic reduction oracle, 4 potentials): exact")
 
     worst = 0.0
-    for potential, t in ((FREE, 0.7), (OSCILLATOR, 1.2)):
+    for potential, t in (
+        (FREE, 0.7),
+        (OSCILLATOR, 1.2),
+        (Potential(1.0, 0.0), 0.9),
+        (Potential(0.0, -0.2), 0.9),
+        (Potential(0.5, 0.3), 0.9),
+    ):
         pde = reduce_evolution_equation(potential)
         via_pde = solve_characteristics(pde, packet_tomo, t)
         _EVOLVED.append(via_pde)
         via_pullback = evolve_pullback(packet_tomo, potential, t)
         worst = max(worst, float(np.abs(via_pde.values - via_pullback.values).max()))
-    report("criterion 9b (characteristics vs pullback)", worst, 1e-10)
+    report("criterion 9b (characteristics vs pullback, 5 potentials)", worst, 1e-10)
 
     linear = Potential(alpha=1.0, beta=0.0)
     pde = reduce_evolution_equation(linear)

@@ -40,8 +40,8 @@ def test_config_validation():
         RunConfig(x_count=4).validate()
     with pytest.raises(InvalidInputError):
         RunConfig(route="teleport").validate()
-    with pytest.raises(InvalidInputError):
-        RunConfig(route="pullback", potential="alpha=1,beta=0.3").validate()
+    # the pullback serves every quadratic potential
+    RunConfig(route="pullback", potential="alpha=1,beta=0.3").validate()
     RunConfig(route="pullback", potential="harmonic").validate()
 
 
@@ -80,14 +80,19 @@ def test_compare_failure_exits_3(tmp_path, capsys):
     assert payload["code"] == EXIT_TOLERANCE and "message" in payload and "context" in payload
 
 
-def test_invalid_pullback_potential_exits_2(tmp_path, capsys):
-    code, _, err = run(
-        ["evolve", "--route", "pullback", "--potential", "alpha=1,beta=0.3",
-         "-o", str(tmp_path / "x.csv")],
-        capsys,
-    )
-    assert code == EXIT_INVALID
-    assert json.loads(err.strip())["code"] == EXIT_INVALID
+def test_pullback_of_general_potential_matches_pde(tmp_path, capsys):
+    outputs = {}
+    for route in ("pullback", "pde"):
+        outputs[route] = tmp_path / f"{route}.csv"
+        code, _, _ = run(
+            ["evolve", "--state", "gaussian:1,0.5,1", "--route", route, "--potential", "alpha=1,beta=0.3",
+             "--t", "0.9", "-o", str(outputs[route])] + FAST,
+            capsys,
+        )
+        assert code == EXIT_OK
+    code, out, _ = run(["compare", str(outputs["pullback"]), str(outputs["pde"]), "--tol", "1e-10"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out.strip())["linf"] < 1e-10
 
 
 def test_caustic_green_exits_4(tmp_path, capsys):
@@ -201,12 +206,11 @@ def test_malformed_state_number_exits_2(tmp_path, capsys):
     assert json.loads(err.strip())["code"] == EXIT_INVALID
 
 
-def test_default_route_evolve_still_rejects_general_potential(tmp_path, capsys):
-    code, _, err = run(
-        ["evolve", "--potential", "alpha=1,beta=0.3", "-o", str(tmp_path / "x.csv")], capsys
-    )
-    assert code == EXIT_INVALID
-    assert "pullback route" in json.loads(err.strip())["message"]
+def test_default_route_evolve_serves_general_potential(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, _, _ = run(["evolve", "--potential", "alpha=1,beta=0.3", "--t", "0.5", "-o", str(out)] + FAST, capsys)
+    assert code == EXIT_OK
+    assert json.loads(tio.meta_path_for(out).read_text())["route"] == "pullback"
 
 
 @pytest.mark.parametrize("text", ["alpha=abc", "beta=1.2.3", "alpha=nan", "alpha=1,beta=inf", "beta=-inf"])
@@ -269,18 +273,27 @@ def test_non_finite_tomogram_file_exits_2(tmp_path, capsys):
     assert "non-finite" in json.loads(err.strip())["message"]
 
 
+def assert_not_an_option(tmp_path, capsys, flag, key, value):
+    out = tmp_path / "t.csv"
+    code, _, _ = run(["tomogram", flag, str(value), "-o", str(out)] + FAST, capsys)
+    assert code == EXIT_INVALID
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: value}))
+    code, _, err = run(["tomogram", "--config", str(conf), "-o", str(out)] + FAST, capsys)
+    assert code == EXIT_INVALID
+    assert key in json.loads(err.strip())["message"]
+    assert not out.exists()
+
+
 def test_eps_theta_is_not_an_option(tmp_path, capsys):
     # the nu -> 0 switch is the fixed tomography.EPS_THETA; neither a flag nor
     # a config key may be accepted and then ignored
-    out = tmp_path / "t.csv"
-    code, _, _ = run(["tomogram", "--eps-theta", "0.2", "-o", str(out)] + FAST, capsys)
-    assert code == EXIT_INVALID
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"eps_theta": 0.2}))
-    code, _, err = run(["tomogram", "--config", str(conf), "-o", str(out)] + FAST, capsys)
-    assert code == EXIT_INVALID
-    assert "eps_theta" in json.loads(err.strip())["message"]
-    assert not out.exists()
+    assert_not_an_option(tmp_path, capsys, "--eps-theta", "eps_theta", 0.2)
+
+
+def test_output_format_is_not_an_option(tmp_path, capsys):
+    # every output is CSV; a json choice was accepted and then ignored
+    assert_not_an_option(tmp_path, capsys, "--output-format", "output_format", "json")
 
 
 @pytest.mark.parametrize("width", ["1e-200", "1e200"])
@@ -317,6 +330,30 @@ def test_valid_config_file_runs(tmp_path, capsys):
     assert code == EXIT_OK
     config = json.loads(tio.meta_path_for(out).read_text())["config"]
     assert (config["state"], config["x_lower"], config["x_count"]) == ("ho:1", -10, 101)
+
+
+def test_config_file_and_flags_write_identical_sidecars(tmp_path, capsys):
+    # a JSON int for a float field is stored as a float, as the flag's value is
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"t": 1, "x_lower": -10, "eps": 1, "x_count": 101, "theta_count": 48}))
+    out = tmp_path / "t.csv"
+    sidecars = []
+    for args in (
+        ["--config", str(path)],
+        ["--t", "1", "--x-lower", "-10", "--eps", "1", "--x-count", "101", "--theta-count", "48"],
+    ):
+        assert run(["tomogram", *args, "-o", str(out)], capsys)[0] == EXIT_OK
+        sidecars.append(tio.meta_path_for(out).read_bytes())
+    assert sidecars[0] == sidecars[1]
+    assert json.loads(sidecars[0])["config"]["x_lower"] == -10.0
+
+
+def test_config_float_out_of_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text('{"x_lower": 1' + "0" * 400 + "}")
+    code, _, err = run(["tomogram", "--config", str(path), "-o", str(tmp_path / "t.csv")], capsys)
+    assert code == EXIT_INVALID
+    assert "x_lower" in json.loads(err.strip())["message"]
 
 
 def test_every_config_key_is_a_flag():

@@ -15,6 +15,7 @@ from tomoprop.greens import (
     GreenFunction,
     Potential,
     action_of_path,
+    classical_flow,
     classical_trajectory,
     closed_action,
     green_free,
@@ -97,7 +98,29 @@ def test_singular_and_caustic_times():
         GreenFunction.oscillator().check_time(2 * np.pi)
 
 
-# --- classical boundary-value problem ---------------------------------------
+# --- classical flow and boundary-value problem ------------------------------
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (0.0, -0.2), (0.5, 0.3), (-0.7, 1e-9)])
+def test_classical_flow_solves_hamilton_equations(alpha, beta):
+    # d/dt (x, p) = (p, -alpha - 2 beta x) by central differences, from
+    # (x, p)(0) = (1, 0) and (0, 1); flows compose and preserve area
+    pot = Potential(alpha, beta)
+    t = np.linspace(-3.0, 3.0, 61)
+    h = 1e-5
+    m, c = classical_flow(pot, t)
+    assert m.shape == (2, 2, 61) and c.shape == (2, 61)
+    m_plus, c_plus = classical_flow(pot, t + h)
+    m_minus, c_minus = classical_flow(pot, t - h)
+    for start in ((1.0, 0.0), (0.0, 1.0)):
+        x, p = np.einsum("ijt,j->it", m, start) + c
+        dx, dp = (np.einsum("ijt,j->it", m_plus - m_minus, start) + c_plus - c_minus) / (2 * h)
+        assert np.abs(dx - p).max() < 1e-8
+        assert np.abs(dp + pot.gradient(x)).max() < 1e-8
+    assert np.abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0).max() < 1e-12
+    (m_a, c_a), (m_b, c_b), (m_ab, c_ab) = (classical_flow(pot, s) for s in (0.4, 1.1, 1.5))
+    assert np.abs(m_b @ m_a - m_ab).max() < 1e-12
+    assert np.abs(m_b @ c_a + c_b - c_ab).max() < 1e-12
 
 
 def test_trajectory_hits_endpoints_and_obeys_newton():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tomoprop.errors import InvalidInputError, UnsupportedPotentialError
+from tomoprop.errors import InvalidInputError
 from tomoprop.greens import FREE, OSCILLATOR, GreenFunction, Potential
 from tomoprop.grids import UniformGrid
 from tomoprop.propagator import (
     DEFAULT_WORK_GRID,
     KernelFourierQuery,
+    _pullback_frame_matrix,
     check_composition,
     compare_tomograms,
     evolve_pullback,
@@ -16,6 +19,7 @@ from tomoprop.propagator import (
 )
 from tomoprop.states import GaussianPacket, evolve_wavefunction, make_state
 from tomoprop.tomography import angle_grid, density_from_tomogram, tomogram_from_wavefunction
+from tomoprop.transport import reduce_evolution_equation, solve_characteristics
 
 X_GRID = UniformGrid(-12.0, 12.0, 241)
 THETA = angle_grid(96)
@@ -57,9 +61,34 @@ def test_pullback_invertible(packet_tomogram):
         assert np.abs(back.values - packet_tomogram.values).max() < 1e-10
 
 
-def test_pullback_rejects_other_potentials(packet_tomogram):
-    with pytest.raises(UnsupportedPotentialError):
-        evolve_pullback(packet_tomogram, Potential(1.0, 0.3), 0.5)
+@pytest.mark.parametrize("t", [-2.5, -0.8, 0.0, 0.3, 0.7, 1.2, np.pi, 6.283185307179586])
+def test_pullback_free_and_oscillator_matrices_are_the_literal_maps(t):
+    assert np.array_equal(
+        _pullback_frame_matrix(FREE, t), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, t, 1.0]])
+    )
+    c, s = np.cos(t), np.sin(t)
+    assert np.array_equal(
+        _pullback_frame_matrix(OSCILLATOR, t), np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(-1, 1, allow_nan=False),
+    beta=st.sampled_from([0.0, -0.5, 0.5]) | st.floats(-0.5, 0.5, allow_nan=False),
+    t=st.floats(-3, 3, allow_nan=False),
+)
+def test_pullback_matches_characteristics_for_every_quadratic_potential(packet_tomogram, alpha, beta, t):
+    # the pullback's closed-form flow and the characteristics' matrix
+    # exponential are independent derivations of the same frame map
+    potential = Potential(alpha, beta)
+    via_pullback = evolve_pullback(packet_tomogram, potential, t)
+    via_pde = solve_characteristics(reduce_evolution_equation(potential), packet_tomogram, t)
+    assert np.abs(via_pullback.values - via_pde.values).max() < 1e-10
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-6, 6, 500)
+    mu, nu = rng.uniform(-2, 2, (2, 500))
+    assert np.abs(via_pullback.evaluate(X, mu, nu) - via_pde.evaluate(X, mu, nu)).max() < 1e-10
 
 
 def test_green_zero_time_roundtrip(packet_tomogram):
