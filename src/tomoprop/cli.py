@@ -212,6 +212,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     meta = _base_meta(config)
     meta["route"] = config.route
     meta["state_spec"] = state_spec_to_dict(parse_state_spec(config.state))
+    if config.route == "green":
+        meta.update(evolved.meta)  # the spectral cut's and the inverse transform's diagnostics
     tio.write_tomogram(config.output, evolved, meta)
     return EXIT_OK
 
@@ -263,6 +265,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     rho = density_from_tomogram(tomo, config.position_grid())
     meta = _base_meta(config)
     meta["source"] = str(args.input)
+    meta.update(rho.meta)
     real_path, _ = tio.write_density(config.output, rho, meta)
     report = {
         "trace": rho.trace(),

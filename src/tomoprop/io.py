@@ -25,6 +25,7 @@ from .tomography import CONVENTION_VERSION, Tomogram, angle_grid
 _FMT = "%.17g"
 _BLOCK_ROWS = 8192  # rows formatted per string; bounds the temporaries
 _LATTICE_RTOL = 1e-12
+FILE_NEGATIVE_TOL = 1e-9  # file values in [-FILE_NEGATIVE_TOL, 0) read as 0
 
 
 def _fmt(value: float) -> str:
@@ -114,8 +115,9 @@ def read_tomogram(path: str | Path) -> Tomogram:
 
     The rows must form the full lattice in write order: theta equal to
     angle_grid(n_theta) and X uniform, the same in every slice, both to
-    1e-12 relative to their span.  A sidecar naming another
-    convention_version is rejected.
+    1e-12 relative to their span.  Values in [-FILE_NEGATIVE_TOL, 0) read
+    as 0; the Tomogram rejects anything more negative.  A sidecar naming
+    another convention_version is rejected.
     """
     path = Path(path)
     header, data = read_grid_csv(path)
@@ -146,12 +148,9 @@ def read_tomogram(path: str | Path) -> Tomogram:
             raise InvalidInputError(
                 f"tomogram file has convention version {version!r}, expected {CONVENTION_VERSION!r}: {path}"
             )
-    return Tomogram(
-        x_grid=x_grid,
-        theta_grid=theta_grid,
-        values=lattice[:, :, 2],
-        meta=dict(meta, negative_tol=1e-9),
-    )
+    values = lattice[:, :, 2]
+    values[(values < 0.0) & (values >= -FILE_NEGATIVE_TOL)] = 0.0
+    return Tomogram(x_grid=x_grid, theta_grid=theta_grid, values=values, meta=meta)
 
 
 # --- kernel scans ------------------------------------------------------------

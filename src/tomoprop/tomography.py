@@ -33,6 +33,7 @@ WEIGHT_FLOOR = 1e-6  # smallest spectral weight kept
 MU_BAND_START = 16.0  # first mu band of density_from_tomogram
 MU_BAND_MAX = 40.0  # the band doubles up to this
 MU_EDGE_THRESHOLD = 1e-8  # band edge / peak ratio that ends the doubling
+NEGATIVE_TOL = 1e-10  # most negative value a Tomogram accepts (and clips to 0)
 DEFAULT_X_GRID = UniformGrid(-14.0, 14.0, 351)
 DEFAULT_THETA_COUNT = 180
 CONVENTION_VERSION = "tomoprop-conventions-1"
@@ -70,8 +71,7 @@ class Tomogram:
             )
         if not np.isfinite(vals).all():
             raise InvalidInputError("tomogram has non-finite values")
-        tol = self.meta.get("negative_tol", 1e-10)
-        if vals.min() < -tol:
+        if vals.min() < -NEGATIVE_TOL:
             raise InvalidInputError(
                 f"tomogram has negative values down to {vals.min():.3g}"
             )
@@ -289,7 +289,9 @@ def tomogram_from_density(
     The bilinear transform is evaluated through the spectral decomposition
     of rho: each retained eigenvector goes through the pure-state
     transform and the tomogram is the weighted sum.  For a pure-state
-    projector this reduces exactly to the wavefunction route.
+    projector this reduces exactly to the wavefunction route.  The meta
+    records the number of components and the sums of |weight| kept and
+    dropped by the cut.
     """
     x_grid = x_grid or DEFAULT_X_GRID
     theta_grid = theta_grid or angle_grid()
@@ -313,7 +315,11 @@ def tomogram_from_density(
         x_grid=x_grid,
         theta_grid=theta_grid,
         values=vals,
-        meta={"components": len(keep)},
+        meta={
+            "components": len(keep),
+            "weight_kept": float(np.abs(weights[keep]).sum()),
+            "weight_dropped": float(np.abs(np.delete(weights, keep)).sum()),
+        },
     )
 
 
@@ -327,18 +333,22 @@ def _slice_characteristic(
 
     Reduced by homogeneity to the characteristic function of the stored
     theta slices: K = chi_theta(+-s) with chi_theta(f) = int w(u, theta)
-    exp(i f u) du, interpolated linearly between stored slices.
+    exp(i f u) du, interpolated linearly between stored slices.  The slices
+    are real, so chi_theta(-s) = conj chi_theta(s): each frame reads both of
+    its slices at f = s >= 0 and conjugates where the fold says so.
 
     The trapezoid sum chi_j(f) = exp(i f u_K) Q_j(f), centred on the slice's
     mean sample K = K_j, has Q_j(g) = sum_k wu_k w_jk exp(i g (u_k - u_K))
-    periodic in g with period 2 pi / h because k - K is an integer.  One
-    zero-padded FFT per slice tabulates Q_j on a uniform lattice over that
-    period; each frame wraps its f into the period and reads Q_j by 4-point
-    cubic Lagrange interpolation (about 1e-9 against the dense sum).
+    periodic in g with period 2 pi / h because k - K is an integer, and
+    Q_j(-g) = conj Q_j(g).  One zero-padded real FFT per slice tabulates Q_j
+    on a uniform lattice over half that period; each frame folds s into the
+    half period and reads Q_j by 4-point cubic Lagrange interpolation (about
+    1e-9 against the dense sum).
     """
     n = tomo.theta_grid.count
     count = tomo.x_grid.count
     pad = 1 << (16 * count - 1).bit_length()  # smallest power of two >= 16 count
+    half = pad // 2
     weighted = tomo.values * trapezoid_weights(count, tomo.x_grid.step)
     k = np.arange(count)
     # any integer K_j is exact; the slice's mean sample keeps Q_j slowly varying
@@ -347,42 +357,46 @@ def _slice_characteristic(
     # sample k sits at index K_j - k, so the forward FFT (sign -) sums exp(+i g (u_k - u_K))
     coeffs = np.zeros((n, pad))
     coeffs[np.arange(n)[:, None], (centre[:, None] - k) % pad] = weighted
-    # the FFT of real rows is Hermitian: transform half, mirror the rest
-    half = np.fft.rfft(coeffs, axis=1)
-    table = np.empty((n, pad), dtype=np.complex128)
-    table[:, : pad // 2 + 1] = half
-    table[:, pad // 2 + 1:] = half[:, pad // 2 - 1:0:-1].conj()
-    del half
+    # column c holds lattice point c - 1: the rfft half 0 ... pad/2, and by
+    # Q(-g) = conj Q(g) and the period, the points -1, pad/2 + 1 and pad/2 + 2
+    table = np.empty((n, half + 4), dtype=np.complex128)
+    np.fft.rfft(coeffs, axis=1, out=table[:, 1 : half + 2])
+    del coeffs
+    table[:, 0] = table[:, 2].conj()
+    table[:, half + 2 :] = table[:, half : half - 2 : -1].conj()
+    taps = np.lib.stride_tricks.sliding_window_view(table, 4, axis=1)  # [j, l] = points l - 1 ... l + 2
     lattice_per_freq = pad * tomo.x_grid.step / (2.0 * np.pi)
     u_centre = tomo.x_grid.points[centre]
 
-    def chi(rows: np.ndarray, freq: np.ndarray) -> np.ndarray:
-        pos = np.mod(freq * lattice_per_freq, pad)
-        l0 = np.floor(pos).astype(int)
-        t = pos - l0
-        q = (
-            -t * (t - 1.0) * (t - 2.0) / 6.0 * table[rows, (l0 - 1) % pad]
-            + (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0 * table[rows, l0 % pad]
-            - (t + 1.0) * t * (t - 2.0) / 2.0 * table[rows, (l0 + 1) % pad]
-            + (t + 1.0) * t * (t - 1.0) / 6.0 * table[rows, (l0 + 2) % pad]
-        )
-        return q * np.exp(1j * freq * u_centre[rows])
-
     mu = mu.ravel()
     nu = nu.ravel()
-    s = np.hypot(mu, nu)
-    flip, j0, j1, frac, wrap = _fold_frames(mu, nu, n)
-    freq = np.where(flip, -s, s)
-    f1 = np.where(wrap, -freq, freq)
-
     out = np.empty(mu.size, dtype=np.complex128)
     chunk = 1 << 16
     for lo in range(0, mu.size, chunk):
         hi = min(lo + chunk, mu.size)
-        chi0 = chi(j0[lo:hi], freq[lo:hi])
-        chi1 = chi(j1[lo:hi], f1[lo:hi])
-        out[lo:hi] = (1.0 - frac[lo:hi]) * chi0 + frac[lo:hi] * chi1
-    out[s == 0] = 1.0  # chi_theta(0) = 1 for every theta by normalization
+        s = np.hypot(mu[lo:hi], nu[lo:hi])
+        flip, j0, j1, frac, wrap = _fold_frames(mu[lo:hi], nu[lo:hi], n)
+        pos = np.mod(s * lattice_per_freq, pad)
+        upper = pos > half  # Q(pos) = conj Q(pad - pos)
+        pos = np.where(upper, pad - pos, pos)
+        l0 = np.floor(pos).astype(int)
+        t = pos - l0
+        lagrange = np.stack([
+            -t * (t - 1.0) * (t - 2.0) / 6.0,
+            (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+            -(t + 1.0) * t * (t - 2.0) / 2.0,
+            (t + 1.0) * t * (t - 1.0) / 6.0,
+        ], axis=1)
+
+        def chi(rows: np.ndarray, conj: np.ndarray) -> np.ndarray:
+            q = np.einsum("qk,qk->q", taps[rows, l0], lagrange)
+            np.negative(q.imag, out=q.imag, where=upper)
+            q *= np.exp(1j * s * u_centre[rows])  # chi_j(s)
+            np.negative(q.imag, out=q.imag, where=conj)  # chi_j(-s)
+            return q
+
+        out[lo:hi] = (1.0 - frac) * chi(j0, flip) + frac * chi(j1, flip ^ wrap)
+        out[lo:hi][s == 0] = 1.0  # chi_theta(0) = 1 for every theta by normalization
     return out
 
 
@@ -398,15 +412,16 @@ def density_from_tomogram(
     The mu integral is truncated at |mu| <= MU_BAND_MAX.  Computation
     exploits that the integrand depends on (x, x') only through nu = x - x'
     and sigma = x + x', both of which live on small difference/sum lattices
-    of the target grid.  The mu band starts at MU_BAND_START and doubles
-    until the boundary integrand is below MU_EDGE_THRESHOLD of its peak; if
-    it is still larger at MU_BAND_MAX an accuracy warning lands in the
-    metadata.
+    of the target grid.  The tomogram is real, so K(-mu, -nu) = conj K(mu, nu):
+    only the nu >= 0 half of the lattice is evaluated, it gives the lower
+    triangle x >= x', and the upper one is its conjugate transpose.  The mu
+    band starts at MU_BAND_START and doubles until the boundary integrand is
+    below MU_EDGE_THRESHOLD of its peak; if it is still larger at MU_BAND_MAX
+    an accuracy warning lands in the metadata.
     """
-    x = target_grid.points
     n = target_grid.count
     h = target_grid.step
-    nu_vals = np.arange(-(n - 1), n) * h
+    nu_vals = np.arange(n) * h
     sigma_vals = 2.0 * target_grid.lower + np.arange(2 * n - 1) * h
 
     band = MU_BAND_START
@@ -415,6 +430,7 @@ def density_from_tomogram(
         mu_axis = np.arange(-m_half, m_half + 1) * mu_step
         Mu, Nu = np.meshgrid(mu_axis, nu_vals, indexing="ij")
         K = _slice_characteristic(tomo, Mu, Nu).reshape(Mu.shape)
+        # |K| is mirror-symmetric, so each edge row's missing half is the other's present one
         edge = max(np.abs(K[0]).max(), np.abs(K[-1]).max())
         peak = np.abs(K).max()
         edge_ratio = edge / peak if peak > 0 else 0.0
@@ -423,13 +439,18 @@ def density_from_tomogram(
         band = min(2.0 * band, MU_BAND_MAX)
     accuracy_warning = edge_ratio > MU_EDGE_THRESHOLD
 
-    w_mu = trapezoid_weights(mu_axis.size, mu_step)
-    phases = np.exp(-0.5j * np.outer(mu_axis, sigma_vals))
-    table = (K.T * w_mu) @ phases / (2.0 * np.pi)  # (n_nu, n_sigma)
-
-    idx = np.arange(n)
-    rho = table[(idx[:, None] - idx[None, :]) + (n - 1), idx[:, None] + idx[None, :]]
-    rho = 0.5 * (rho + rho.conj().T)
+    weighted = K.T * (trapezoid_weights(mu_axis.size, mu_step) / (2.0 * np.pi))  # (n_nu, n_mu)
+    # rho[i, j] (i >= j) reads nu index d = i - j and sigma index i + j, which
+    # share parity, so each parity is one mu quadrature on half the rows and columns
+    i, j = np.tril_indices(n)
+    d, sigma = i - j, i + j
+    rho = np.zeros((n, n), dtype=np.complex128)
+    for parity in (0, 1):
+        table = weighted[parity::2] @ np.exp(-0.5j * np.outer(mu_axis, sigma_vals[parity::2]))
+        sel = d % 2 == parity
+        rho[i[sel], j[sel]] = table[d[sel] // 2, sigma[sel] // 2]
+    rho += np.tril(rho, -1).conj().T
+    np.fill_diagonal(rho, rho.diagonal().real)
     return DensityMatrix(
         grid=target_grid,
         values=rho,

@@ -16,6 +16,7 @@ from tomoprop.cli import (
 )
 from tomoprop.errors import InvalidInputError
 from tomoprop.greens import FREE, OSCILLATOR
+from tomoprop.tomography import density_from_tomogram
 
 FAST = ["--theta-count", "48", "--x-count", "101"]
 
@@ -156,6 +157,38 @@ def test_reconstruct_subcommand(tmp_path, capsys):
     assert np.abs(rho.values - expected).max() < 1e-3
 
 
+def test_reconstruct_sidecar_carries_inverse_diagnostics(tmp_path, capsys):
+    base = tmp_path / "t.csv"
+    assert run(["tomogram", "--state", "gaussian:1,0.5,0.3", "-o", str(base)] + FAST, capsys)[0] == EXIT_OK
+    argv = ["reconstruct", str(base), "-o", str(tmp_path / "rho.csv"), "--pos-count", "32"]
+    assert run(argv, capsys)[0] == EXIT_OK
+    meta = json.loads(tio.meta_path_for(tmp_path / "rho.real.csv").read_text())
+    rho = density_from_tomogram(tio.read_tomogram(base), RunConfig(pos_count=32).position_grid())
+    assert rho.meta["mu_band"] > 16.0
+    for key in ("mu_band", "mu_edge_ratio", "accuracy_warning"):
+        assert meta[key] == rho.meta[key]
+
+
+def test_green_evolve_sidecar_carries_diagnostics(tmp_path, capsys):
+    # FAST's X step 0.28 puts the slice characteristic's period 2 pi / h below
+    # the mu band, so the Green route's reconstruction needs a finer X grid
+    grids = ["--theta-count", "48", "--x-count", "201"]
+    sidecars = {}
+    for route in ("green", "pullback", "pde"):
+        out = tmp_path / f"{route}.csv"
+        argv = ["evolve", "--state", "ho_ground", "--potential", "harmonic", "--route", route, "--t", "0.5", "-o", str(out)]
+        assert run(argv + grids, capsys)[0] == EXIT_OK
+        sidecars[route] = json.loads(tio.meta_path_for(out).read_text())
+    green = sidecars["green"]
+    diagnostics = {"components", "weight_kept", "weight_dropped", "mu_band", "mu_edge_ratio", "accuracy_warning"}
+    assert set(green) - set(sidecars["pullback"]) == diagnostics
+    assert set(sidecars["pde"]) == set(sidecars["pullback"])
+    assert green["components"] >= 1 and green["weight_kept"] == pytest.approx(1.0, abs=1e-6)
+    assert 0.0 <= green["weight_dropped"] < 1e-4
+    assert green["mu_band"] == 16.0 and 0.0 <= green["mu_edge_ratio"] <= 1e-8
+    assert green["accuracy_warning"] is False
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"state": "ho:1", "theta_count": 48, "x_count": 101}))
@@ -271,6 +304,22 @@ def test_non_finite_tomogram_file_exits_2(tmp_path, capsys):
     code, _, err = run(["compare", str(good), str(bad)], capsys)
     assert code == EXIT_INVALID
     assert "non-finite" in json.loads(err.strip())["message"]
+
+
+@pytest.mark.parametrize("value, code", [("-5e-10", EXIT_OK), ("-2e-9", EXIT_INVALID)])
+def test_small_negative_file_values_read_as_zero(tmp_path, capsys, value, code):
+    good, spoilt = tmp_path / "good.csv", tmp_path / "spoilt.csv"
+    assert run(["tomogram", "--state", "ho_ground", "-o", str(good)] + FAST, capsys)[0] == EXIT_OK
+    lines = good.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:2] + [value])  # X = -14 at theta = 0, where w is ~1e-86
+    spoilt.write_text("\n".join(lines) + "\n")
+    result, out, err = run(["compare", str(good), str(spoilt)], capsys)
+    assert result == code
+    if code == EXIT_OK:
+        assert json.loads(out.strip())["linf"] < 1e-80
+        assert tio.read_tomogram(spoilt).values[0, 0] == 0.0
+    else:
+        assert "negative" in json.loads(err.strip())["message"]
 
 
 def assert_not_an_option(tmp_path, capsys, flag, key, value):

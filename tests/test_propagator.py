@@ -18,6 +18,7 @@ from tomoprop.propagator import (
     kernel_with_offset,
 )
 from tomoprop.states import GaussianPacket, evolve_wavefunction, make_state
+from tomoprop import tomography
 from tomoprop.tomography import angle_grid, density_from_tomogram, tomogram_from_wavefunction
 from tomoprop.transport import reduce_evolution_equation, solve_characteristics
 
@@ -171,3 +172,19 @@ def test_green_route_carries_inverse_diagnostics(packet_tomogram):
     for key in ("mu_band", "mu_edge_ratio", "accuracy_warning"):
         assert evolved.meta[key] == rho.meta[key]
     assert evolved.meta["accuracy_warning"] is False
+
+
+def test_green_route_reads_half_the_frames(monkeypatch):
+    # K(-mu, -nu) = conj K(mu, nu): the default mu band (641 points) times
+    # the nu >= 0 half of the work grid's differences (384) is all it reads
+    counted = []
+    original = tomography._slice_characteristic
+
+    def counting(tomo, mu, nu):
+        counted.append(np.size(mu))
+        return original(tomo, mu, nu)
+
+    monkeypatch.setattr(tomography, "_slice_characteristic", counting)
+    tomo = tomogram_from_wavefunction(make_state(GaussianPacket(1.0, 0.5, 1.0)))
+    evolve_via_green(tomo, GreenFunction.oscillator(), 0.7)
+    assert 0 < sum(counted) <= 641 * 384

@@ -7,14 +7,19 @@ from scipy.interpolate import CubicSpline
 from tomoprop.errors import InvalidFrameError, InvalidInputError
 from tomoprop.grids import UniformGrid, integrate_samples, refine_samples, trapezoid_weights
 from tomoprop.states import (
+    DensityMatrix,
     GaussianPacket,
     density_from_wavefunction,
     make_state,
 )
+from tomoprop.propagator import DEFAULT_WORK_GRID
 from tomoprop.tomography import (
     DEFAULT_THETA_COUNT,
     DEFAULT_X_GRID,
     EPS_THETA,
+    MU_BAND_MAX,
+    MU_BAND_START,
+    MU_EDGE_THRESHOLD,
     Tomogram,
     _slice_characteristic,
     _transform_state_batch,
@@ -130,6 +135,23 @@ def test_pure_density_route_matches_wavefunction_route():
     assert np.abs(direct.values - via_rho.values).max() < 1e-8
 
 
+def test_spectral_cut_records_kept_and_dropped_weight():
+    psi0, psi1 = make_state("ho:0"), make_state("ho:1")
+    values = 0.7 * np.outer(psi0.values, psi0.values.conj()) + 0.3 * np.outer(psi1.values, psi1.values.conj())
+    rho = DensityMatrix(grid=psi0.grid, values=values + 1e-4 * np.eye(psi0.grid.count))
+    tomo = tomogram_from_density(rho, X_GRID, THETA)
+    total = np.abs(np.linalg.eigvalsh(rho.values) * rho.grid.step).sum()
+    assert tomo.meta["components"] == 16
+    assert tomo.meta["weight_dropped"] > 1e-3
+    assert tomo.meta["weight_kept"] + tomo.meta["weight_dropped"] == pytest.approx(total, rel=1e-12)
+
+
+def test_pure_projector_drops_no_weight():
+    tomo = tomogram_from_density(density_from_wavefunction(make_state("ho:0")), X_GRID, THETA)
+    assert tomo.meta["weight_kept"] == pytest.approx(1.0, abs=1e-12)
+    assert tomo.meta["weight_dropped"] < 1e-12
+
+
 def test_mixed_state_is_convex_combination():
     psi0 = make_state("ho:0")
     psi1 = make_state("ho:1")
@@ -206,24 +228,115 @@ def dense_slice_characteristic(tomo, mu, nu):
     return np.where(s == 0, 1.0, (1.0 - frac) * chi0 + frac * chi1)
 
 
-@pytest.mark.parametrize("packet", [(1.0, 0.5, 1.0), (3.0, -2.0, 0.6)], ids=["near", "far"])
-@pytest.mark.parametrize(
-    "x_grid",
-    [DEFAULT_X_GRID, UniformGrid(-14.0, 14.0, 350), UniformGrid(-9.0, 13.0, 200)],
-    ids=["odd", "even", "off_centre"],
-)
-def test_slice_characteristic_matches_dense_sum(x_grid, packet):
-    tomo = _packet_tomogram_closed_form(x_grid, angle_grid(DEFAULT_THETA_COUNT), *packet)
+def _characteristic_frames():
     rng = np.random.default_rng(7)
     # |mu| up to 45 forces the periodic wrap of the FFT table on every grid
     mu = rng.uniform(-45.0, 45.0, 20000)
     nu = rng.uniform(-20.0, 20.0, 20000)
     mu[:50] = 0.0
     nu[:50] = 0.0  # s = 0
-    nu[50:100] = 0.0  # the theta = 0 slice and its parity image
+    nu[50:100] = 0.0  # theta = 0 and theta = pi, both read from slice 0
+    mu[100:150], nu[100:150] = rng.uniform(-0.01, 0.01, (2, 50))  # s within the table's first step
+    return mu, nu
+
+
+NEAR_PACKET = (1.0, 0.5, 1.0)
+FAR_PACKET = (3.0, -2.0, 0.6)
+
+
+def _characteristic_tomogram(x_grid, kind):
+    theta_grid = angle_grid(DEFAULT_THETA_COUNT)
+    if kind == "spiky":
+        # five random samples per slice: Q_j stays O(1) up to its half period,
+        # where the table's extension past pad/2 is read, and varies slowly
+        rng = np.random.default_rng(3)
+        values = np.zeros((theta_grid.count, x_grid.count))
+        start = rng.integers(0, x_grid.count - 5, theta_grid.count)
+        for j, k in enumerate(start):
+            values[j, k : k + 5] = rng.uniform(0.1, 1.0, 5)
+        values /= integrate_samples(values, x_grid.step)[:, None]
+        return Tomogram(x_grid=x_grid, theta_grid=theta_grid, values=values)
+    packet = {"near": NEAR_PACKET, "far": FAR_PACKET}[kind]
+    return _packet_tomogram_closed_form(x_grid, theta_grid, *packet)
+
+
+CHARACTERISTIC_X_GRIDS = pytest.mark.parametrize(
+    "x_grid",
+    [DEFAULT_X_GRID, UniformGrid(-14.0, 14.0, 350), UniformGrid(-9.0, 13.0, 200)],
+    ids=["odd", "even", "off_centre"],
+)
+
+
+@pytest.mark.parametrize("packet", ["near", "far", "spiky"])
+@CHARACTERISTIC_X_GRIDS
+def test_slice_characteristic_matches_dense_sum(x_grid, packet):
+    tomo = _characteristic_tomogram(x_grid, packet)
+    mu, nu = _characteristic_frames()
     got = _slice_characteristic(tomo, mu, nu)
     assert np.abs(got - dense_slice_characteristic(tomo, mu, nu)).max() < 1e-8
     assert np.all(got[:50] == 1.0)
+
+
+@pytest.mark.parametrize("packet", ["far", "spiky"])
+@CHARACTERISTIC_X_GRIDS
+def test_slice_characteristic_is_conjugate_symmetric(x_grid, packet):
+    # a real tomogram has K(-mu, -nu) = conj K(mu, nu), which the inverse transform relies on
+    tomo = _characteristic_tomogram(x_grid, packet)
+    mu, nu = _characteristic_frames()
+    got = _slice_characteristic(tomo, mu, nu)
+    assert np.abs(_slice_characteristic(tomo, -mu, -nu) - got.conj()).max() < 1e-12
+
+
+def full_lattice_density(tomo, target_grid, mu_step=0.05):
+    """The inverse transform on the whole (mu, nu) lattice: every frame read
+    directly, one (n_nu, n_sigma) mu quadrature, then 0.5 (rho + rho^dagger)."""
+    n = target_grid.count
+    h = target_grid.step
+    nu_vals = np.arange(-(n - 1), n) * h
+    sigma_vals = 2.0 * target_grid.lower + np.arange(2 * n - 1) * h
+    band = MU_BAND_START
+    while True:
+        m_half = int(np.ceil(band / mu_step))
+        mu_axis = np.arange(-m_half, m_half + 1) * mu_step
+        Mu, Nu = np.meshgrid(mu_axis, nu_vals, indexing="ij")
+        K = _slice_characteristic(tomo, Mu, Nu).reshape(Mu.shape)
+        edge = max(np.abs(K[0]).max(), np.abs(K[-1]).max())
+        peak = np.abs(K).max()
+        edge_ratio = edge / peak if peak > 0 else 0.0
+        if edge_ratio <= MU_EDGE_THRESHOLD or band >= MU_BAND_MAX:
+            break
+        band = min(2.0 * band, MU_BAND_MAX)
+    w_mu = trapezoid_weights(mu_axis.size, mu_step)
+    phases = np.exp(-0.5j * np.outer(mu_axis, sigma_vals))
+    table = (K.T * w_mu) @ phases / (2.0 * np.pi)
+    idx = np.arange(n)
+    rho = table[(idx[:, None] - idx[None, :]) + (n - 1), idx[:, None] + idx[None, :]]
+    return 0.5 * (rho + rho.conj().T), band, edge_ratio
+
+
+NARROW_PACKET = (0.5, 0.3, 0.3)  # |K| at |mu| = 16 is 3e-3 of its peak, so the band doubles
+
+
+@pytest.mark.parametrize(
+    "packet, target",
+    [
+        (NEAR_PACKET, DEFAULT_WORK_GRID),
+        (NEAR_PACKET, UniformGrid(-6.0, 6.0, 96)),
+        (FAR_PACKET, UniformGrid(-9.0, 13.0, 200)),
+        (NARROW_PACKET, UniformGrid(-6.0, 6.0, 97)),
+    ],
+    ids=["work_grid", "even", "off_centre", "wide_band"],
+)
+def test_density_matches_full_lattice_oracle(packet, target):
+    tomo = _packet_tomogram_closed_form(DEFAULT_X_GRID, angle_grid(DEFAULT_THETA_COUNT), *packet)
+    rho = density_from_tomogram(tomo, target)
+    want, band, edge_ratio = full_lattice_density(tomo, target)
+    assert np.abs(rho.values - want).max() < 1e-12
+    assert rho.hermiticity_defect() == 0.0
+    assert rho.meta["mu_band"] == band
+    assert rho.meta["mu_edge_ratio"] == pytest.approx(edge_ratio, rel=1e-12, abs=0.0)
+    if packet == NARROW_PACKET:
+        assert rho.meta["mu_band"] > 16
 
 
 def dense_transform_batch(grid, states, weights, x_grid, theta_grid):
