@@ -41,7 +41,6 @@ from .propagator import (
     evolve_pullback,
     evolve_via_green,
     kernel_fourier,
-    kernel_with_offset,
 )
 from .states import (
     DensityMatrix,
@@ -65,12 +64,8 @@ from .tomography import (
     tomogram_from_wavefunction,
 )
 from .transport import (
-    BargmannPoint,
     TransportPDE,
-    bargmann_coords,
     characteristic_flow,
-    evolve_optical,
-    frame_coords,
     reduce_evolution_equation,
     solve_characteristics,
 )

@@ -226,10 +226,8 @@ def _cmd_green(args: argparse.Namespace) -> int:
         green = GreenFunction.oscillator()
     elif args.kind == "sliced":
         green = GreenFunction.sliced(config.resolved_potential(), config.slices)
-    elif args.kind == "van-fleck":
+    else:  # argparse choices leave only "van-fleck"
         green = GreenFunction.van_fleck(config.resolved_potential())
-    else:
-        raise InvalidInputError(f"unknown Green-function kind {args.kind!r}")
     green.check_time(config.t)
     grid = config.position_grid()
     x = grid.points

@@ -316,20 +316,13 @@ class GreenFunction:
     def phase_rate_bound(self, xmax: float, ymax: float, t: float) -> float:
         """Upper bound on |d(phase)/dy| over |x| <= xmax, |y| <= ymax.
 
-        Used to pick the quadrature resolution when the kernel multiplies
-        a sampled wavefunction.
+        The phase is the classical action, and -dS/dy is the initial momentum
+        of the path from y to x, p0 = (x - m00 y - c0) / m01 under the flow
+        (m, c) = classical_flow(potential, t).  It is linear in (x, y), so its
+        largest modulus sits at a corner of the domain.  Used to pick the
+        quadrature resolution when the kernel multiplies a sampled wavefunction.
         """
-        if self.kind == "free":
-            return (xmax + ymax) / abs(t)
-        if self.kind == "oscillator":
-            st = abs(np.sin(t))
-            return abs(np.cos(t) / st) * ymax + xmax / st
-        # quadratic action: sample dS/dx1 at the domain corners
-        pot = self.potential
-        h = 1e-5
-        rate = 0.0
-        for cx in (-xmax, xmax):
-            for cy in (-ymax, ymax):
-                d = (closed_action(pot, cx, cy + h, t) - closed_action(pot, cx, cy - h, t)) / (2 * h)
-                rate = max(rate, abs(float(d)))
-        return rate
+        pot = {"free": FREE, "oscillator": OSCILLATOR}.get(self.kind, self.potential)
+        m, c = classical_flow(pot, t)
+        corners = max(abs(x - m[0, 0] * y - c[0]) for x in (-xmax, xmax) for y in (-ymax, ymax))
+        return float(corners / abs(m[0, 1]))

@@ -163,16 +163,6 @@ def write_kernel_scan(path: str | Path, rows, meta: dict | None = None) -> None:
     write_metadata(path, meta or {})
 
 
-# --- optical tomograms -------------------------------------------------------
-
-
-def write_optical(path: str | Path, x: np.ndarray, phi: np.ndarray, values: np.ndarray, meta: dict | None = None) -> None:
-    """Optical tomogram CSV: header X,phi,w; phi outer, X inner."""
-    X, Phi = np.meshgrid(x, np.atleast_1d(phi))
-    _write_table(path, "X,phi,w\n", np.column_stack([X.ravel(), Phi.ravel(), np.ravel(values)]))
-    write_metadata(path, meta or {})
-
-
 # --- Green-function grids ----------------------------------------------------
 
 

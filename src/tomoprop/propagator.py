@@ -10,7 +10,7 @@ kernel to the Green function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,10 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
     renormalized to unit trace before propagation, since the exact
     evolution is trace preserving.  t = 0 is special-cased to the identity
     chain.  The inverse stage's mu_band, mu_edge_ratio and accuracy_warning
-    join the returned tomogram's meta.
+    join the returned tomogram's meta.  When the inverse stage warned and
+    the forward stage then rejects the density matrix, the error names the
+    likely cause: a slice sampled at X step h has a characteristic of
+    period 2 pi/h in frequency, so a mu band past that period aliases.
     """
     work_grid = DEFAULT_WORK_GRID
     rho = density_from_tomogram(tomo, work_grid)
@@ -74,7 +77,18 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
         vals = 0.5 * (vals + vals.conj().T)
         vals = vals / np.sum(np.diag(vals).real * weights)
     rho_t = DensityMatrix(grid=work_grid, values=vals, meta=dict(rho.meta))
-    evolved = tomogram_from_density(rho_t, tomo.x_grid, tomo.theta_grid)
+    try:
+        evolved = tomogram_from_density(rho_t, tomo.x_grid, tomo.theta_grid)
+    except InvalidInputError as err:
+        if not rho.meta["accuracy_warning"]:
+            raise
+        h = tomo.x_grid.step
+        raise InvalidInputError(
+            f"inverse transform aliased: mu_edge_ratio {rho.meta['mu_edge_ratio']:.3g} at mu_band "
+            f"{rho.meta['mu_band']:g}, and the tomogram's X step h = {h:.3g} gives each slice "
+            f"characteristic the period 2 pi/h = {2.0 * np.pi / h:.3g} in frequency; "
+            f"a finer X grid avoids this ({err})"
+        ) from err
     evolved.meta.update(
         (key, rho.meta[key]) for key in ("mu_band", "mu_edge_ratio", "accuracy_warning")
     )
@@ -133,18 +147,12 @@ def kernel_fourier(
     return q.k**2 / (2.0 * np.pi) * raw
 
 
-def kernel_with_offset(query: KernelFourierQuery, x_prime: float) -> complex:
-    """Kernel value at initial offset X'; exactly exp(i k X') times the stored value."""
-    return np.exp(1j * query.k * x_prime) * kernel_fourier(query)
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     """Grid discrepancy between two tomograms (thresholds are the caller's)."""
 
     linf: float
     l2: float
-    meta: dict = field(default_factory=dict, compare=False)
 
 
 def compare_tomograms(a: Tomogram, b: Tomogram) -> ComparisonReport:

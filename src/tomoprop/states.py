@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedStateError
-from .greens import CAUSTIC_THRESHOLD, GreenFunction
+from .greens import GreenFunction
 from .grids import UniformGrid, integrate_samples, refine_samples, trapezoid_weights
 
 DEFAULT_POSITION_GRID = UniformGrid(-12.0, 12.0, 512)
@@ -206,28 +206,15 @@ def density_from_wavefunction(psi: WaveFunction) -> DensityMatrix:
 # --- evolution ---------------------------------------------------------------
 
 
-def evolve_wavefunction(
-    psi: WaveFunction,
-    green: GreenFunction,
-    t: float,
-    *,
-    parity_at_caustics: bool = False,
-) -> WaveFunction:
+def evolve_wavefunction(psi: WaveFunction, green: GreenFunction, t: float) -> WaveFunction:
     """Quadrature evolution Psi_t(x) = int G(x, y, t) Psi(y) dy.
 
     t = 0 returns the input unchanged.  At oscillator caustics t = n*pi the
-    kernel is a delta limit; the parity image Psi((-1)^n x) is returned only
-    when parity_at_caustics is set, otherwise the caustic error propagates.
-    Norm drift beyond 1e-4 is reported via a warning, never corrected.
+    kernel is a delta limit and the caustic error propagates.  Norm drift
+    beyond 1e-4 is reported via a warning, never corrected.
     """
     if t == 0:
         return WaveFunction(grid=psi.grid, values=psi.values.copy())
-    if green.kind == "oscillator":
-        n_half = round(t / np.pi)
-        if abs(np.sin(t)) <= CAUSTIC_THRESHOLD and parity_at_caustics:
-            if n_half % 2 == 0:
-                return WaveFunction(grid=psi.grid, values=psi.values.copy())
-            return WaveFunction(grid=psi.grid, values=psi.values[::-1].copy())
     green.check_time(t)
     xmax = max(abs(psi.grid.lower), abs(psi.grid.upper))
     rate = green.phase_rate_bound(xmax, xmax, t)

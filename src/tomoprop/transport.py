@@ -3,8 +3,7 @@
 For potentials of degree <= 2 the tomographic evolution equation reduces
 to a first-order transport PDE in (X, mu, nu) with closed-form
 coefficients, and the solve is by characteristics (a linear flow,
-integrated through a matrix exponential).  Bargmann variables
-z = mu + i nu give the optical slice as the unit circle.
+integrated through a matrix exponential).
 """
 
 from __future__ import annotations
@@ -13,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedPotentialError
+from .errors import UnsupportedPotentialError
 from .greens import Potential
-from .tomography import Tomogram, optical_slice
+from .tomography import Tomogram
 
 
 # --- reduction ---------------------------------------------------------------
@@ -77,11 +76,6 @@ def reduce_evolution_equation(potential) -> TransportPDE:
 
 # --- characteristics ---------------------------------------------------------
 
-_TO_BARGMANN = np.array(
-    [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0j], [0.0, 1.0, -1.0j]], dtype=complex
-)
-_FROM_BARGMANN = np.linalg.inv(_TO_BARGMANN)
-
 
 def _expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential of a small real or complex matrix.
@@ -103,28 +97,12 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def characteristic_flow(pde: TransportPDE, t: float, *, basis: str = "frame") -> np.ndarray:
-    """Backward characteristic map: initial point = matrix @ (X, mu, nu).
-
-    basis "frame" works directly in (X, mu, nu); basis "bargmann" conjugates
-    the same flow through z = mu + i nu and maps back, which is a pure
-    change of variables.
-    """
-    a = pde.advection_matrix()
-    if basis == "frame":
-        return _expm(-t * a)
-    if basis == "bargmann":
-        ab = _TO_BARGMANN @ a @ _FROM_BARGMANN
-        m = _FROM_BARGMANN @ _expm(-t * ab) @ _TO_BARGMANN
-        if np.abs(m.imag).max() > 1e-12:
-            raise InvalidInputError("Bargmann flow failed to map back to a real flow")
-        return m.real
-    raise InvalidInputError(f"unknown characteristics basis {basis!r}")
+def characteristic_flow(pde: TransportPDE, t: float) -> np.ndarray:
+    """Backward characteristic map: initial point = matrix @ (X, mu, nu)."""
+    return _expm(-t * pde.advection_matrix())
 
 
-def solve_characteristics(
-    pde: TransportPDE, tomo: Tomogram, t: float, *, basis: str = "frame"
-) -> Tomogram:
+def solve_characteristics(pde: TransportPDE, tomo: Tomogram, t: float) -> Tomogram:
     """Advect the tomogram along characteristics for a duration t.
 
     Each output point takes the initial value at the foot of its backward
@@ -132,42 +110,4 @@ def solve_characteristics(
     Tomogram.evaluate, and the flow map composes exactly with previous
     pullbacks.
     """
-    return tomo.with_frame_map(characteristic_flow(pde, t, basis=basis))
-
-
-# --- Bargmann variables ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BargmannPoint:
-    """Conjugate pair z = mu + i nu, zbar = mu - i nu."""
-
-    z: complex
-    zbar: complex
-
-
-def bargmann_coords(mu: float, nu: float) -> BargmannPoint:
-    return BargmannPoint(z=complex(mu, nu), zbar=complex(mu, -nu))
-
-
-def frame_coords(point: BargmannPoint) -> tuple[float, float]:
-    """Inverse map mu = (z + zbar)/2, nu = (z - zbar)/(2i); rejects
-    non-conjugate pairs."""
-    if abs(point.zbar - np.conj(point.z)) > 1e-12:
-        raise InvalidInputError("zbar must be the complex conjugate of z")
-    mu = 0.5 * (point.z + point.zbar)
-    nu = (point.z - point.zbar) / 2j
-    return float(mu.real), float(nu.real)
-
-
-def evolve_optical(
-    tomo: Tomogram, potential, t: float, phi_values: np.ndarray
-) -> np.ndarray:
-    """Optical tomogram w(X, phi, t) after transport evolution.
-
-    Returns an array of shape (len(phi_values), n_X) sampled on the stored
-    X grid; each row is the optical slice at local-oscillator phase phi.
-    """
-    pde = reduce_evolution_equation(potential)
-    evolved = solve_characteristics(pde, tomo, t)
-    return np.stack([optical_slice(evolved, float(phi)) for phi in np.atleast_1d(phi_values)])
+    return tomo.with_frame_map(characteristic_flow(pde, t))

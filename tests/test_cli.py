@@ -106,6 +106,20 @@ def test_caustic_green_exits_4(tmp_path, capsys):
     assert json.loads(err.strip())["code"] == EXIT_DOMAIN
 
 
+def test_aliased_green_route_names_the_cause(tmp_path, capsys):
+    # at X step 0.28 the slice characteristic's period 2 pi/h ~ 22 is below the mu band of 40
+    code, _, err = run(
+        ["evolve", "--state", "ho_ground", "--potential", "harmonic", "--route", "green",
+         "--t", "0.5", "-o", str(tmp_path / "e.csv")] + FAST,
+        capsys,
+    )
+    assert code == EXIT_INVALID
+    message = json.loads(err.strip())["message"]
+    for part in ("mu_edge_ratio 0.994", "mu_band 40", "h = 0.28", "2 pi/h = 22.4", "too indefinite"):
+        assert part in message
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_green_subcommand_values(tmp_path, capsys):
     out = tmp_path / "g.csv"
     code, _, _ = run(

@@ -233,3 +233,29 @@ def test_green_function_dispatch():
     assert GreenFunction.for_potential(Potential(1.0, 0.3)).kind == "van-fleck"
     g = GreenFunction.sliced(OSCILLATOR, 128)
     assert g(1.0, 0.0, 1.0) == green_sliced(OSCILLATOR, 1.0, 0.0, 1.0, 128)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.9, 2.5])
+@pytest.mark.parametrize("xmax,ymax", [(12.0, 12.0), (5.0, 9.0)])
+def test_phase_rate_bound_free_and_oscillator_closed_forms(t, xmax, ymax):
+    assert GreenFunction.free().phase_rate_bound(xmax, ymax, t) == (xmax + ymax) / abs(t)
+    sin_t = abs(np.sin(t))
+    want = abs(np.cos(t) / sin_t) * ymax + xmax / sin_t
+    assert GreenFunction.oscillator().phase_rate_bound(xmax, ymax, t) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["van-fleck", "sliced"])
+@pytest.mark.parametrize("potential", [Potential(0.3, 0.2), Potential(-0.5, -0.2), Potential(1.0, 0.0), Potential(0.0, 0.7)])
+def test_phase_rate_bound_matches_action_derivative(kind, potential):
+    # the bound is max |dS/dy| over the domain corners; a central difference
+    # of the closed action at step 1e-5 agrees with it to about 2e-10
+    green = GreenFunction(kind, potential=potential, slices=8)
+    h = 1e-5
+    for t in (0.3, 0.9, 1.7):
+        for xmax, ymax in ((12.0, 12.0), (5.0, 9.0)):
+            fd = max(
+                abs(closed_action(potential, x, y + h, t) - closed_action(potential, x, y - h, t)) / (2 * h)
+                for x in (-xmax, xmax)
+                for y in (-ymax, ymax)
+            )
+            assert green.phase_rate_bound(xmax, ymax, t) == pytest.approx(fd, rel=1e-8)

@@ -79,18 +79,6 @@ def test_kernel_scan_format(tmp_path):
     assert data[0, 7] == 0.5 and data[0, 8] == -0.25
 
 
-def test_optical_format(tmp_path):
-    x = np.linspace(-1, 1, 5)
-    phi = np.array([0.0, 0.5])
-    values = np.arange(10.0).reshape(2, 5)
-    path = tmp_path / "opt.csv"
-    tio.write_optical(path, x, phi, values)
-    header, data = tio.read_grid_csv(path)
-    assert header == ["X", "phi", "w"]
-    assert data.shape == (10, 3)
-    assert data[7, 1] == 0.5 and data[7, 2] == 7.0
-
-
 def test_atomic_write_leaves_no_temp_files(tmp_path, tomo):
     path = tmp_path / "t.csv"
     tio.write_tomogram(path, tomo)
@@ -143,15 +131,6 @@ def test_kernel_scan_bytes_match_csv_module(tmp_path):
     tio.write_kernel_scan(path, rows)
     expected = [(*row[:7], row[7].real, row[7].imag) for row in rows]
     assert path.read_text() == csv_module_text(["k", "mu", "nu", "mu_p", "nu_p", "t", "eps", "re", "im"], expected)
-
-
-def test_optical_bytes_match_csv_module(tmp_path, tomo):
-    phi = np.array([0.0, 0.5, 4.0])
-    values = tomo.values[:3] / 3.0
-    path = tmp_path / "opt.csv"
-    tio.write_optical(path, X_GRID.points, phi, values)
-    rows = [(X_GRID.points[i], phi[j], values[j, i]) for j in range(3) for i in range(X_GRID.count)]
-    assert path.read_text() == csv_module_text(["X", "phi", "w"], rows)
 
 
 def test_density_bytes_match_csv_module(tmp_path):

@@ -15,7 +15,6 @@ from tomoprop.propagator import (
     evolve_pullback,
     evolve_via_green,
     kernel_fourier,
-    kernel_with_offset,
 )
 from tomoprop.states import GaussianPacket, evolve_wavefunction, make_state
 from tomoprop import tomography
@@ -136,13 +135,6 @@ def test_kernel_scaling_identity_free():
         v1 = kernel_fourier(q1)
         v2 = kernel_fourier(q2)
         assert abs(v1 - k**2 * v2) <= 1e-6 * max(abs(v1), 1.0)
-
-
-def test_kernel_offset_phase_rule():
-    q = KernelFourierQuery(1.3, 0.3, 0.4, 0.25, 0.7, 1.0, GreenFunction.free())
-    base = kernel_fourier(q)
-    shifted = kernel_with_offset(q, 0.9)
-    assert shifted == pytest.approx(np.exp(1.3j * 0.9) * base)
 
 
 def test_kernel_query_validation():

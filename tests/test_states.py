@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomoprop.errors import InvalidInputError, UnsupportedStateError
+from tomoprop.errors import CausticError, InvalidInputError, UnsupportedStateError
 from tomoprop.greens import GreenFunction
 from tomoprop.grids import UniformGrid, integrate_samples
 from tomoprop.states import (
@@ -103,12 +103,10 @@ def test_evolve_oscillator_eigenstate_stationary():
     assert np.abs(out.values - phase * psi.values).max() < 1e-6
 
 
-def test_evolve_caustic_parity():
+def test_evolve_caustic_raises():
     psi = make_state(GaussianPacket(1.0, 0.0, 1.0))
-    out = evolve_wavefunction(
-        psi, GreenFunction.oscillator(), np.pi, parity_at_caustics=True
-    )
-    assert np.abs(np.abs(out.values) - np.abs(psi.values[::-1])).max() < 1e-12
+    with pytest.raises(CausticError):
+        evolve_wavefunction(psi, GreenFunction.oscillator(), np.pi)
 
 
 def test_evolve_zero_time_is_identity():

@@ -1,23 +1,21 @@
+import importlib
+
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomoprop.errors import InvalidInputError, UnsupportedPotentialError
-from tomoprop.greens import FREE, OSCILLATOR, Potential
+import tomoprop
+from tomoprop.errors import UnsupportedPotentialError
+from tomoprop.greens import FREE, OSCILLATOR, GreenFunction, Potential
 from tomoprop.grids import UniformGrid
 from tomoprop.propagator import evolve_pullback
-from tomoprop.states import GaussianPacket, make_state
+from tomoprop.states import GaussianPacket, evolve_wavefunction, make_state
 from tomoprop.tomography import angle_grid, optical_slice, tomogram_from_wavefunction
 from tomoprop.transport import (
-    _FROM_BARGMANN,
-    _TO_BARGMANN,
     _expm,
-    bargmann_coords,
     characteristic_flow,
-    evolve_optical,
-    frame_coords,
     reduce_evolution_equation,
     solve_characteristics,
 )
@@ -79,14 +77,6 @@ def test_characteristic_flow_oscillator_is_rotation():
     assert np.abs(flow - expected).max() < 1e-12
 
 
-def test_bargmann_basis_gives_same_flow():
-    for potential in (FREE, OSCILLATOR, Potential(1.0, 0.3)):
-        pde = reduce_evolution_equation(potential)
-        frame = characteristic_flow(pde, 0.9, basis="frame")
-        barg = characteristic_flow(pde, 0.9, basis="bargmann")
-        assert np.abs(frame - barg).max() < 1e-12
-
-
 def test_solve_characteristics_matches_pullback():
     psi = make_state(GaussianPacket(1.0, 0.5, 1.0))
     tomo = tomogram_from_wavefunction(psi, X_GRID, THETA)
@@ -97,10 +87,9 @@ def test_solve_characteristics_matches_pullback():
         assert np.abs(via_pde.values - via_pullback.values).max() < 1e-10
 
 
-def flow_generators(alpha, beta, t):
-    """-t A in the frame basis and in the Bargmann basis, as characteristic_flow forms them."""
-    a = reduce_evolution_equation(Potential(alpha, beta)).advection_matrix()
-    return -t * a, -t * (_TO_BARGMANN @ a @ _FROM_BARGMANN)
+def flow_generator(alpha, beta, t):
+    """-t A, as characteristic_flow forms it."""
+    return -t * reduce_evolution_equation(Potential(alpha, beta)).advection_matrix()
 
 
 def assert_expm_exact(alpha, beta, t, rel):
@@ -108,10 +97,10 @@ def assert_expm_exact(alpha, beta, t, rel):
     # ~4e-13 on these generators, too coarse to check a 1e-14 claim
     import mpmath
 
+    m = flow_generator(alpha, beta, t)
     with mpmath.workdps(40):
-        for m in flow_generators(alpha, beta, t):
-            want = np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(), dtype=complex)
-            assert np.abs(_expm(m) - want).max() <= rel * np.abs(want).max()
+        want = np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(), dtype=float)
+    assert np.abs(_expm(m) - want).max() <= rel * np.abs(want).max()
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,7 +109,7 @@ def assert_expm_exact(alpha, beta, t, rel):
     beta=st.floats(-0.25, 0.5, allow_nan=False),
     t=st.floats(-3, 3, allow_nan=False),
 )
-def test_expm_matches_exact_exponential_in_both_bases(alpha, beta, t):
+def test_expm_matches_exact_exponential(alpha, beta, t):
     # worst seen on a 31 x 25 x 9 (beta, t, alpha) lattice with corners: 4.9e-15
     assert_expm_exact(alpha, beta, t, 1e-14)
 
@@ -136,28 +125,45 @@ def test_expm_matches_exact_exponential_over_long_times(alpha, beta, t):
     assert_expm_exact(alpha, beta, t, 2e-14)
 
 
-@settings(max_examples=50, deadline=None)
-@given(mu=st.floats(-5, 5, allow_nan=False), nu=st.floats(-5, 5, allow_nan=False))
-def test_bargmann_roundtrip(mu, nu):
-    point = bargmann_coords(mu, nu)
-    assert point.z == complex(mu, nu)
-    back = frame_coords(point)
-    assert back[0] == pytest.approx(mu, abs=1e-12)
-    assert back[1] == pytest.approx(nu, abs=1e-12)
-
-
-def test_frame_coords_rejects_nonconjugate():
-    from tomoprop.transport import BargmannPoint
-
-    with pytest.raises(InvalidInputError):
-        frame_coords(BargmannPoint(z=1 + 2j, zbar=1 + 2j))
-
-
 def test_evolve_optical_rotation():
     psi = make_state(GaussianPacket(1.0, 0.5, 1.0))
     tomo = tomogram_from_wavefunction(psi, X_GRID, THETA)
     phi, t = 0.3, 0.9
-    rows = evolve_optical(tomo, OSCILLATOR, t, np.array([phi]))
+    evolved = solve_characteristics(reduce_evolution_equation(OSCILLATOR), tomo, t)
+    row = optical_slice(evolved, phi)
     rotated = optical_slice(tomo, phi + t)
-    assert rows.shape == (1, X_GRID.count)
-    assert np.abs(rows[0] - rotated).max() < 1e-6
+    assert row.shape == (X_GRID.count,)
+    assert np.abs(row - rotated).max() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [
+        ("transport", "BargmannPoint"),
+        ("transport", "bargmann_coords"),
+        ("transport", "frame_coords"),
+        ("transport", "evolve_optical"),
+        ("transport", "_TO_BARGMANN"),
+        ("transport", "_FROM_BARGMANN"),
+        ("io", "write_optical"),
+        ("propagator", "kernel_with_offset"),
+    ],
+)
+def test_retired_name_is_gone(module, name):
+    assert not hasattr(tomoprop, name)
+    assert not hasattr(importlib.import_module(f"tomoprop.{module}"), name)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: characteristic_flow(reduce_evolution_equation(OSCILLATOR), 0.9, basis="frame"),
+        lambda: evolve_wavefunction(
+            make_state("ho_ground"), GreenFunction.oscillator(), np.pi, parity_at_caustics=True
+        ),
+    ],
+    ids=["characteristic_flow-basis", "evolve_wavefunction-parity_at_caustics"],
+)
+def test_retired_keyword_is_refused(call):
+    with pytest.raises(TypeError):
+        call()
