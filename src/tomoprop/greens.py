@@ -193,6 +193,14 @@ def green_sliced(potential: Potential, x, y, t: float, slices: int):
     and carries an O(dt) discretization error from the potential term
     otherwise.
     """
+    amp, a, b, c, d, e = _sliced_coefficients(potential, t, slices)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return amp * np.exp(1j * (a * x**2 + b * x * y + c * y**2 + d * x + e * y))
+
+
+def _sliced_coefficients(potential: Potential, t: float, slices: int):
+    """Fold the slice kernels into amp * exp(i(a x^2 + b x y + c y^2 + d x + e y))."""
     if not isinstance(potential, Potential):
         raise UnsupportedPotentialError("sliced propagator supports quadratic potentials only")
     if t <= 0:
@@ -202,14 +210,6 @@ def green_sliced(potential: Potential, x, y, t: float, slices: int):
     dt = t / slices
     if dt >= 0.5:
         raise InvalidInputError(f"slice width {dt} exceeds stability bound 0.5")
-    amp, a, b, c, d, e = _sliced_coefficients(potential, dt, slices)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return amp * np.exp(1j * (a * x**2 + b * x * y + c * y**2 + d * x + e * y))
-
-
-def _sliced_coefficients(potential: Potential, dt: float, slices: int):
-    """Fold the slice kernels into amp * exp(i(a x^2 + b x y + c y^2 + d x + e y))."""
     alpha, beta = potential.alpha, potential.beta
     a1 = 0.5 / dt - beta * dt
     b1 = -1.0 / dt
@@ -293,8 +293,13 @@ class GreenFunction:
         return cls.van_fleck(potential)
 
     def check_time(self, t: float) -> None:
-        if t == 0:
-            raise SingularTimeError(f"{self.kind} kernel singular at t = 0")
+        """Reject times where this kernel is singular or undefined.
+
+        Every kind's amplitude grows like |t|^{-1/2} and its phase like 1/t,
+        so |t| <= CAUSTIC_THRESHOLD is refused as singular for all of them.
+        """
+        if abs(t) <= CAUSTIC_THRESHOLD:
+            raise SingularTimeError(f"{self.kind} kernel singular at t={t} (|t| <= {CAUSTIC_THRESHOLD})")
         if self.kind == "oscillator" and abs(np.sin(t)) <= CAUSTIC_THRESHOLD:
             raise CausticError(f"oscillator kernel undefined at t={t}")
         if self.kind in ("van-fleck", "sliced"):
@@ -313,6 +318,36 @@ class GreenFunction:
             return green_sliced(self.potential, x, y, t, self.slices)
         raise InvalidInputError(f"unknown Green-function kind {self.kind!r}")
 
+    def _flow_potential(self) -> Potential:
+        return {"free": FREE, "oscillator": OSCILLATOR}.get(self.kind, self.potential)
+
+    def quadratic_form(self, t: float):
+        """(amp, A, B, C, D, E) with G(x, y, t) = amp exp(i(A x^2 + B x y + C y^2 + D x + E y)).
+
+        Every kind's phase is quadratic in the endpoints.  For the closed
+        kinds it is the classical action, whose coefficients come from the
+        flow (m, c) = classical_flow(potential, t): dS/dy = -p0 and
+        dS/dx = p(t) with p0 = (x - m00 y - c0) / m01 give A = m11/(2 m01),
+        B = -1/m01, C = m00/(2 m01), E = c0/m01 and D = c1 - m11 E.  The
+        van Vleck amplitude carries the constant part of the action,
+        S(0, 0, t), as a phase; the sliced kind folds its slices in
+        _sliced_coefficients.
+        """
+        self.check_time(t)
+        if self.kind == "sliced":
+            return _sliced_coefficients(self.potential, t, self.slices)
+        if self.kind not in ("free", "oscillator", "van-fleck"):
+            raise InvalidInputError(f"unknown Green-function kind {self.kind!r}")
+        pot = self._flow_potential()
+        m, (c0, c1) = classical_flow(pot, t)
+        (m00, m01), (_, m11) = m
+        if self.kind == "van-fleck":
+            amp = _SQRT_I_INV / np.sqrt(2.0 * np.pi * abs(m01)) * np.exp(1j * closed_action(pot, 0.0, 0.0, t))
+        else:
+            amp = 1.0 / np.sqrt(2.0 * np.pi * 1j * m01)
+        e = c0 / m01
+        return complex(amp), m11 / (2.0 * m01), -1.0 / m01, m00 / (2.0 * m01), c1 - m11 * e, e
+
     def phase_rate_bound(self, xmax: float, ymax: float, t: float) -> float:
         """Upper bound on |d(phase)/dy| over |x| <= xmax, |y| <= ymax.
 
@@ -322,7 +357,6 @@ class GreenFunction:
         largest modulus sits at a corner of the domain.  Used to pick the
         quadrature resolution when the kernel multiplies a sampled wavefunction.
         """
-        pot = {"free": FREE, "oscillator": OSCILLATOR}.get(self.kind, self.potential)
-        m, c = classical_flow(pot, t)
+        m, c = classical_flow(self._flow_potential(), t)
         corners = max(abs(x - m[0, 0] * y - c[0]) for x in (-xmax, xmax) for y in (-ymax, ymax))
         return float(corners / abs(m[0, 1]))

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalDomainError
+from .errors import InvalidInputError
 
 _OVERSAMPLE = 2.5
 MAX_FINE = 1 << 18
@@ -67,33 +67,6 @@ def integrate_samples(values, step: float):
         raise InvalidInputError(f"step must be positive, got {step}")
     inner = values[..., 1:-1].sum(axis=-1)
     return step * (inner + 0.5 * (values[..., 0] + values[..., -1]))
-
-
-def damped_integral_2d(f, grid_z: UniformGrid, grid_a: UniformGrid, damping: float):
-    """Gaussian-damped double integral of f(z, a) over a tensor-product grid.
-
-    Returns the trapezoidal approximation of
-
-        iint f(z, a) exp(-damping * (z^2 + a^2)) dz da.
-
-    The caller owns the interpretation of the damping -> 0 limit; the
-    damping is Gaussian so closed-form oracles stay available.  `f` must
-    accept numpy arrays (broadcasting over the meshgrid).
-    """
-    if damping <= 0:
-        raise InvalidInputError(f"damping must be positive, got {damping}")
-    Z, A = np.meshgrid(grid_z.points, grid_a.points, indexing="ij")
-    vals = np.asarray(f(Z, A), dtype=np.complex128)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NumericalDomainError(
-            f"non-finite integrand at z={grid_z.points[i]:.6g}, a={grid_a.points[j]:.6g}"
-        )
-    vals = vals * np.exp(-damping * (Z**2 + A**2))
-    wz = trapezoid_weights(grid_z.count, grid_z.step)
-    wa = trapezoid_weights(grid_a.count, grid_a.step)
-    return complex(wz @ vals @ wa)
 
 
 def fft_upsample(values, count: int, axis: int = -1) -> np.ndarray:

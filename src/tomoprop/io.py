@@ -167,11 +167,20 @@ def write_kernel_scan(path: str | Path, rows, meta: dict | None = None) -> None:
 
 
 def write_green_grid(path: str | Path, x: np.ndarray, y: np.ndarray, t: float, values: np.ndarray, meta: dict | None = None) -> None:
-    """Propagator grid CSV: header x,y,t,re,im; x outer, y inner."""
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    values = np.asarray(values)
-    table = np.column_stack([X.ravel(), Y.ravel(), np.full(X.size, float(t)), values.real.ravel(), values.imag.ravel()])
-    _write_table(path, "x,y,t,re,im\n", table)
+    """Propagator grid CSV: header x,y,t,re,im; x outer, y inner.
+
+    Every x block repeats the same y and t fields, so each line's tail
+    "<y>,<t>,%.17g,%.17g" is built once and only re and im are formatted
+    per value; the bytes are those of formatting every field with _fmt.
+    """
+    pairs = np.ascontiguousarray(values, dtype=complex).view(float)  # re, im interleaved per row
+    t_text = _fmt(t)
+    tails = [f"{_fmt(v)},{t_text},{_FMT},{_FMT}\n" for v in y]
+    with _atomic_open(path) as handle:
+        handle.write("x,y,t,re,im\n")
+        for xi, row in zip(x, pairs):
+            head = _fmt(xi) + ","
+            handle.write((head + head.join(tails)) % tuple(row.tolist()))
     write_metadata(path, meta or {})
 
 

@@ -106,6 +106,33 @@ def test_caustic_green_exits_4(tmp_path, capsys):
     assert json.loads(err.strip())["code"] == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--potential", "free", "--t", "1e-300"],
+        ["kernel", "--potential", "alpha=1,beta=0.3", "--t", "1e-200"],
+        ["kernel", "--potential", "harmonic", "--t=-1e-6"],
+        ["green", "--kind", "free", "--t", "1e-300", "--pos-count", "16"],
+        ["green", "--kind", "sliced", "--potential", "alpha=1,beta=0.3", "--t", "1e-9", "--pos-count", "16"],
+        ["evolve", "--route", "green", "--potential", "free", "--t", "1e-7"] + FAST,
+    ],
+    ids=["kernel-free", "kernel-van-fleck", "kernel-oscillator", "green-free", "green-sliced", "evolve-green"],
+)
+def test_near_zero_time_exits_4(tmp_path, capsys, argv):
+    # every kind's amplitude grows like |t|^(-1/2) and its phase like 1/t
+    code, _, err = run(argv + ["-o", str(tmp_path / "out.csv")], capsys)
+    assert code == EXIT_DOMAIN
+    assert "singular" in json.loads(err.strip())["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_overflowing_kernel_exits_4(tmp_path, capsys):
+    # k^2 = 1e400 overflows a double
+    code, _, err = run(["kernel", "--t", "1", "--k", "1e200", "-o", str(tmp_path / "s.csv")], capsys)
+    assert code == EXIT_DOMAIN
+    assert "non-finite" in json.loads(err.strip())["message"]
+
+
 def test_aliased_green_route_names_the_cause(tmp_path, capsys):
     # at X step 0.28 the slice characteristic's period 2 pi/h ~ 22 is below the mu band of 40
     code, _, err = run(

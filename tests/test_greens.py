@@ -227,6 +227,46 @@ def test_van_fleck_linear_potential_matches_sliced():
     assert abs(got - ref) < 1e-4
 
 
+QUADRATIC_KINDS = {
+    "free": GreenFunction.free(),
+    "oscillator": GreenFunction.oscillator(),
+    "van-fleck-linear": GreenFunction.van_fleck(Potential(1.0, 0.0)),
+    "van-fleck-inverted": GreenFunction.van_fleck(Potential(0.0, -0.2)),
+    "van-fleck-general": GreenFunction.van_fleck(Potential(0.5, 0.3)),
+    "sliced": GreenFunction.sliced(Potential(0.5, 0.3), 16),
+}
+
+
+@pytest.mark.parametrize("name", QUADRATIC_KINDS)
+def test_quadratic_form_reproduces_the_kernel(name):
+    # worst seen over x, y in [-10, 10] and these times: 2.3e-13 relative
+    green = QUADRATIC_KINDS[name]
+    x = np.linspace(-10.0, 10.0, 41)[:, None]
+    y = np.linspace(-9.0, 11.0, 37)[None, :]
+    times = (0.3, 1.1, 2.5, 4.0) if name in ("free", "oscillator") else (0.3, 1.1, 2.5)
+    for t in times + tuple(-t for t in times if name in ("free", "oscillator")):
+        amp, a, b, c, d, e = green.quadratic_form(t)
+        form = amp * np.exp(1j * (a * x**2 + b * x * y + c * y**2 + d * x + e * y))
+        want = green(x, y, t)
+        assert np.abs(form - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", QUADRATIC_KINDS)
+@pytest.mark.parametrize("t", [0.0, 1e-300, -1e-7, 1e-6])
+def test_near_zero_time_is_singular_for_every_kind(name, t):
+    with pytest.raises(SingularTimeError):
+        QUADRATIC_KINDS[name].check_time(t)
+    with pytest.raises(SingularTimeError):
+        QUADRATIC_KINDS[name].quadratic_form(t)
+
+
+def test_quadratic_form_keeps_the_sliced_checks():
+    with pytest.raises(InvalidInputError, match="stability"):
+        GreenFunction.sliced(OSCILLATOR, 1).quadratic_form(0.7)
+    with pytest.raises(InvalidInputError):
+        GreenFunction.van_fleck(OSCILLATOR).quadratic_form(-0.7)
+
+
 def test_green_function_dispatch():
     assert GreenFunction.for_potential(FREE).kind == "free"
     assert GreenFunction.for_potential(OSCILLATOR).kind == "oscillator"

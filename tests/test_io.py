@@ -109,17 +109,25 @@ def test_tomogram_bytes_match_csv_module(tmp_path, tomo):
 
 def test_green_grid_bytes_match_csv_module(tmp_path):
     x = np.linspace(-3.0, 3.0, 97)  # 9409 rows: more than one formatting block
-    y = x[::2]
     t = 0.7
-    values = GreenFunction.oscillator()(x[:, None], y[None, :], t)
-    path = tmp_path / "g.csv"
-    tio.write_green_grid(path, x, y, t, values)
-    rows = [
-        (x[i], y[j], t, values[i, j].real, values[i, j].imag)
-        for i in range(x.size)
-        for j in range(y.size)
+    signed_zeros = np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(0.5, -0.0), complex(-0.0, 0.25)])
+    cases = [
+        (x, x[::2], GreenFunction.oscillator()(x[:, None], x[None, ::2], t)),
+        # x and y on different grids, with -0.0 among the coordinates and values
+        (np.array([-0.0, 0.0, 1e-300, -2.5, 1 / 3]), np.array([-0.0, 7.0, -1e-17, 0.1]), np.tile(signed_zeros, (5, 1))),
     ]
-    assert path.read_text() == csv_module_text(["x", "y", "t", "re", "im"], rows)
+    for case, (xs, y, values) in enumerate(cases):
+        path = tmp_path / f"g{case}.csv"
+        tio.write_green_grid(path, xs, y, t, values)
+        rows = [
+            (xs[i], y[j], t, values[i, j].real, values[i, j].imag)
+            for i in range(xs.size)
+            for j in range(y.size)
+        ]
+        assert path.read_text() == csv_module_text(["x", "y", "t", "re", "im"], rows)
+    assert (tmp_path / "g1.csv").read_text().startswith(
+        "x,y,t,re,im\n-0,-0,0.69999999999999996,0,-0\n-0,7,0.69999999999999996,-0,0\n"
+    )
 
 
 def test_kernel_scan_bytes_match_csv_module(tmp_path):

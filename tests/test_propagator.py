@@ -7,6 +7,8 @@ from tomoprop.errors import InvalidInputError
 from tomoprop.greens import FREE, OSCILLATOR, GreenFunction, Potential
 from tomoprop.grids import UniformGrid
 from tomoprop.propagator import (
+    DEFAULT_KERNEL_DOMAIN,
+    DEFAULT_KERNEL_POINTS,
     DEFAULT_WORK_GRID,
     KernelFourierQuery,
     _pullback_frame_matrix,
@@ -20,6 +22,8 @@ from tomoprop.states import GaussianPacket, evolve_wavefunction, make_state
 from tomoprop import tomography
 from tomoprop.tomography import angle_grid, density_from_tomogram, tomogram_from_wavefunction
 from tomoprop.transport import reduce_evolution_equation, solve_characteristics
+
+from kernel_oracle import kernel_fourier_2d
 
 X_GRID = UniformGrid(-12.0, 12.0, 241)
 THETA = angle_grid(96)
@@ -148,6 +152,59 @@ def test_kernel_query_validation():
 def test_kernel_deterministic():
     q = KernelFourierQuery(0.8, 0.1, 0.9, 0.4, 0.2, 0.7, GreenFunction.free())
     assert kernel_fourier(q) == kernel_fourier(q)
+
+
+# (green, k, (mu, nu, mu_p, nu_p), t); all but the first van Vleck query sit
+# near the flowed support, where no cancellation dominates the double sum
+FACTORIZED_QUERIES = {
+    "free": (GreenFunction.free(), 0.5, (0.34, 0.4, 0.32, 0.6), 0.7),
+    "oscillator": (GreenFunction.oscillator(), 2.0, (0.51, 0.4, 0.12, 0.6), 0.7),
+    "van-fleck": (GreenFunction.van_fleck(Potential(1.0, 0.3)), 1.0, (0.3, 0.4, 0.5, 0.6), 0.7),
+    "van-fleck-support": (GreenFunction.van_fleck(Potential(1.0, 0.3)), 1.0, (0.44, 0.4, 0.2, 0.6), 0.7),
+    "van-fleck-inverted": (GreenFunction.van_fleck(Potential(0.0, -0.2)), 2.0, (0.27, 0.4, 0.39, 0.6), 0.7),
+    "sliced": (GreenFunction.sliced(Potential(0.5, 0.3), 16), 1.0, (0.44, 0.4, 0.21, 0.6), 0.7),
+}
+
+
+@pytest.mark.parametrize("name", FACTORIZED_QUERIES)
+def test_kernel_factorization_matches_the_double_sum(name):
+    # worst seen on these queries: 1.1e-10 relative (the van Vleck query
+    # of |value| 2.0e-3), the rest below 1e-12
+    green, k, frame, t = FACTORIZED_QUERIES[name]
+    q = KernelFourierQuery(k, *frame, t, green)
+    want = kernel_fourier_2d(q)
+    assert abs(want) >= 1e-4
+    assert abs(kernel_fourier(q) - want) <= 1e-9 * abs(want)
+
+
+def test_kernel_sums_match_30_digit_evaluation():
+    # a cli_session-like oscillator query whose 1-D sums cancel to about
+    # 1e-6 of their terms; the 801^2 double sum is off by 1.7e-5 here
+    import mpmath as mp
+
+    q = KernelFourierQuery(
+        1.8912391271393405, 0.29022834657057195, 0.6424777420671495, 0.7936899306788903,
+        0.629458947039565, 1.423532237327211, GreenFunction.oscillator(),
+    )
+    amp, a, b, c, d, e = q.green.quadratic_form(q.t)
+    with mp.workdps(30):
+        k, mu, nu, mu_p, nu_p, a, b, c, d, e, eps = map(mp.mpf, (q.k, q.mu, q.nu, q.mu_p, q.nu_p, a, b, c, d, e, q.damping))
+        grid = UniformGrid(-DEFAULT_KERNEL_DOMAIN, DEFAULT_KERNEL_DOMAIN, DEFAULT_KERNEL_POINTS)
+        points = [mp.mpf(float(g)) for g in grid.points]
+        step = mp.mpf(2 * DEFAULT_KERNEL_DOMAIN) / (DEFAULT_KERNEL_POINTS - 1)
+        weights = [step / 2] + [step] * (len(points) - 2) + [step / 2]
+
+        def damped_sum(gamma):
+            return mp.fsum(w * mp.exp(-eps * g * g) * mp.expj(gamma * g) for w, g in zip(weights, points))
+
+        gamma_a = k * (2 * a * nu + b * nu_p + mu)
+        gamma_z = k * (b * nu + 2 * c * nu_p - mu_p)
+        phi0 = k * k * (b * nu * nu_p / 2 + c * nu_p**2 - mu_p * nu_p / 2) + k * (d * nu + e * nu_p)
+        want = complex(
+            k * k / (2 * mp.pi) * mp.mpf(abs(amp)) ** 2 * mp.expj(phi0) * damped_sum(gamma_a) * damped_sum(gamma_z)
+        )
+    assert 1e-9 < abs(want) < 1e-8
+    assert abs(kernel_fourier(q) - want) <= 1e-12 * abs(want)
 
 
 def test_compare_requires_matching_grids(packet_tomogram):

@@ -147,6 +147,7 @@ def test_evolve_optical_rotation():
         ("transport", "_FROM_BARGMANN"),
         ("io", "write_optical"),
         ("propagator", "kernel_with_offset"),
+        ("grids", "damped_integral_2d"),
     ],
 )
 def test_retired_name_is_gone(module, name):
