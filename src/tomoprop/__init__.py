@@ -62,6 +62,7 @@ from .tomography import (
     optical_slice,
     tomogram_from_density,
     tomogram_from_wavefunction,
+    tomogram_moments,
 )
 from .transport import (
     TransportPDE,

@@ -321,6 +321,10 @@ class GreenFunction:
     def _flow_potential(self) -> Potential:
         return {"free": FREE, "oscillator": OSCILLATOR}.get(self.kind, self.potential)
 
+    def flow(self, t):
+        """classical_flow(potential, t) of this kernel's potential: (m, c)."""
+        return classical_flow(self._flow_potential(), t)
+
     def quadratic_form(self, t: float):
         """(amp, A, B, C, D, E) with G(x, y, t) = amp exp(i(A x^2 + B x y + C y^2 + D x + E y)).
 
@@ -357,6 +361,6 @@ class GreenFunction:
         largest modulus sits at a corner of the domain.  Used to pick the
         quadrature resolution when the kernel multiplies a sampled wavefunction.
         """
-        m, c = classical_flow(self._flow_potential(), t)
+        m, c = self.flow(t)
         corners = max(abs(x - m[0, 0] * y - c[0]) for x in (-xmax, xmax) for y in (-ymax, ymax))
         return float(corners / abs(m[0, 1]))

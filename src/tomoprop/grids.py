@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalDomainError
 
 _OVERSAMPLE = 2.5
 MAX_FINE = 1 << 18
@@ -45,6 +45,11 @@ class UniformGrid:
     @property
     def span(self) -> float:
         return self.upper - self.lower
+
+    @property
+    def reach(self) -> float:
+        """Largest |coordinate| on the grid."""
+        return max(abs(self.lower), abs(self.upper))
 
 
 def trapezoid_weights(count: int, step: float) -> np.ndarray:
@@ -98,20 +103,35 @@ def fft_upsample(values, count: int, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
+def fine_count(grid: UniformGrid, max_freq: float) -> int:
+    """Samples over `grid`'s period whose step resolves phases up to max_freq rad/unit.
+
+    At least `grid.count`.  A count above MAX_FINE raises
+    NumericalDomainError: it is refused, never capped, so a caller can
+    decide before allocating anything.
+    """
+    n = grid.count
+    needed = int(np.ceil(n * grid.step * max_freq * _OVERSAMPLE / (2.0 * np.pi)))
+    if needed > MAX_FINE:
+        raise NumericalDomainError(
+            f"phase rate {max_freq:.3g} on [{grid.lower:.3g}, {grid.upper:.3g}] needs {needed} "
+            f"fine samples, more than MAX_FINE = {MAX_FINE}"
+        )
+    return max(n, needed)
+
+
 def refine_samples(grid: UniformGrid, values, max_freq: float, axis: int = -1):
     """FFT-upsample samples on `grid` so the step resolves phases up to max_freq rad/unit.
 
     Returns (fine positions, fine values, fine step).  Valid because the
     sampled functions decay below 1e-10 at the grid boundary, making the
-    periodic extension smooth.  The fine count is capped at MAX_FINE.
+    periodic extension smooth.  The fine count comes from `fine_count`,
+    which refuses counts above MAX_FINE.
     """
-    n = grid.count
-    period = n * grid.step
-    needed = int(np.ceil(period * max_freq * _OVERSAMPLE / (2.0 * np.pi)))
-    n_fine = min(max(n, needed), MAX_FINE)
-    if n_fine == n:
+    n_fine = fine_count(grid, max_freq)
+    if n_fine == grid.count:
         return grid.points, values, grid.step
-    step = period / n_fine
+    step = grid.count * grid.step / n_fine
     return grid.lower + step * np.arange(n_fine), fft_upsample(values, n_fine, axis), step
 
 

@@ -16,11 +16,17 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalDomainError
 from .greens import GreenFunction, Potential, classical_flow
-from .grids import UniformGrid, trapezoid_weights
-from .states import DensityMatrix
-from .tomography import Tomogram, density_from_tomogram, tomogram_from_density
+from .grids import UniformGrid, fine_count, trapezoid_weights
+from .states import DensityMatrix, propagate_states
+from .tomography import (
+    Tomogram,
+    density_from_tomogram,
+    spectral_components,
+    tomogram_from_density,
+    tomogram_moments,
+)
 
-DEFAULT_WORK_GRID = UniformGrid(-10.0, 10.0, 384)
+TAIL_SDS = 10.0  # standard deviations a Green-route grid covers on each side, in x and in p
 DEFAULT_KERNEL_DOMAIN = 80.0
 DEFAULT_KERNEL_POINTS = 801
 DEFAULT_DAMPING = 1e-3
@@ -51,47 +57,79 @@ def evolve_pullback(tomo: Tomogram, potential: Potential, t: float) -> Tomogram:
     return tomo.with_frame_map(_pullback_frame_matrix(potential, t))
 
 
+def moment_grid(mean: np.ndarray, cov: np.ndarray) -> UniformGrid:
+    """Position grid for a state of mean (<x>, <p>) and covariance `cov`.
+
+    It spans <x> +- TAIL_SDS sd_x, at a step no larger than
+    pi / (|<p>| + TAIL_SDS sd_p), the Nyquist step of the momenta the
+    state holds.
+    """
+    sd_x, sd_p = np.sqrt(np.maximum(np.diag(cov), np.finfo(float).tiny))
+    half = TAIL_SDS * sd_x
+    step = np.pi / (abs(mean[1]) + TAIL_SDS * sd_p)
+    return UniformGrid(mean[0] - half, mean[0] + half, max(int(np.ceil(2.0 * half / step)) + 1, 8))
+
+
+def _grid_meta(grid: UniformGrid) -> list:
+    return [float(grid.lower), float(grid.upper), grid.count]
+
+
 def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram:
     """Evolution through the quantum propagator.
 
-    Chain: tomogram -> density matrix on DEFAULT_WORK_GRID (inverse
-    transform) -> rho_t = G rho G^dagger by quadrature -> tomogram
-    (spectral forward transform).  The reconstructed density matrix is
-    renormalized to unit trace before propagation, since the exact
-    evolution is trace preserving.  t = 0 is special-cased to the identity
-    chain.  The inverse stage's mu_band, mu_edge_ratio and accuracy_warning
-    join the returned tomogram's meta.  When the inverse stage warned and
-    the forward stage then rejects the density matrix, the error names the
-    likely cause: a slice sampled at X step h has a characteristic of
-    period 2 pi/h in frequency, so a mu band past that period aliases.
+    Chain: tomogram -> density matrix (inverse transform) -> its kept
+    eigenvectors psi_k, each sent to int G(x, y, t) psi_k(y) dy ->
+    sum_k w_k psi_k psi_k^dagger -> tomogram (spectral forward transform).
+
+    The input grid is `moment_grid` of the tomogram's own moments, the
+    output grid that of the same moments flowed by the kernel's classical
+    flow (mean -> m mean + c, cov -> m cov m^T).  The reconstructed density
+    matrix is renormalized to unit trace and cut by `spectral_components`.
+    A kernel phase rate that needs more fine samples than grids.MAX_FINE
+    raises NumericalDomainError before the inverse transform runs.  t = 0
+    keeps the eigenvectors as they are.
+
+    The returned meta holds the input cut's components, weight_kept and
+    weight_dropped, the inverse stage's mu_band, mu_edge_ratio and
+    accuracy_warning, and both grids as [lower, upper, count].  When the
+    cut rejects the reconstruction as too indefinite and the inverse read
+    frames past radius pi/h, the error names the cause: a slice sampled at
+    X step h has a characteristic of period 2 pi/h in frequency, so frames
+    beyond pi/h read its periodic images.
     """
-    work_grid = DEFAULT_WORK_GRID
-    rho = density_from_tomogram(tomo, work_grid)
-    vals = rho.values / rho.trace()
+    mean, cov = tomogram_moments(tomo)
+    in_grid = moment_grid(mean, cov)
+    out_grid = in_grid
     if t != 0:
         green.check_time(t)
-        x = work_grid.points
-        weights = trapezoid_weights(work_grid.count, work_grid.step)
-        gm = green(x[:, None], x[None, :], t) * weights
-        vals = gm @ vals @ gm.conj().T
-        vals = 0.5 * (vals + vals.conj().T)
-        vals = vals / np.sum(np.diag(vals).real * weights)
-    rho_t = DensityMatrix(grid=work_grid, values=vals, meta=dict(rho.meta))
+        m, c = green.flow(t)
+        out_grid = moment_grid(m @ mean + c, m @ cov @ m.T)
+        fine_count(in_grid, green.phase_rate_bound(out_grid.reach, in_grid.reach, t))
+    rho = density_from_tomogram(tomo, in_grid)
     try:
-        evolved = tomogram_from_density(rho_t, tomo.x_grid, tomo.theta_grid)
+        states, weights, cut = spectral_components(
+            DensityMatrix(grid=in_grid, values=rho.values / rho.trace())
+        )
     except InvalidInputError as err:
-        if not rho.meta["accuracy_warning"]:
-            raise
         h = tomo.x_grid.step
+        radius = np.hypot(rho.meta["mu_band"], in_grid.span)
+        if radius <= np.pi / h:
+            raise
         raise InvalidInputError(
-            f"inverse transform aliased: mu_edge_ratio {rho.meta['mu_edge_ratio']:.3g} at mu_band "
-            f"{rho.meta['mu_band']:g}, and the tomogram's X step h = {h:.3g} gives each slice "
-            f"characteristic the period 2 pi/h = {2.0 * np.pi / h:.3g} in frequency; "
-            f"a finer X grid avoids this ({err})"
+            f"inverse transform aliased: it reads frames out to radius {radius:.3g} (mu_band "
+            f"{rho.meta['mu_band']:g}, nu up to {in_grid.span:.3g}), past pi/h = {np.pi / h:.3g}, "
+            f"and the tomogram's X step h = {h:.3g} gives each slice characteristic the period "
+            f"2 pi/h = {2.0 * np.pi / h:.3g} in frequency; a finer X grid avoids this ({err})"
         ) from err
+    if t != 0:
+        states = propagate_states(states, in_grid, out_grid, green, t)
+    rho_t = DensityMatrix(grid=out_grid, values=(states.T * weights) @ states.conj())
+    evolved = tomogram_from_density(rho_t, tomo.x_grid, tomo.theta_grid)
+    evolved.meta.update(cut)  # the input cut's figures, in place of the output's
     evolved.meta.update(
         (key, rho.meta[key]) for key in ("mu_band", "mu_edge_ratio", "accuracy_warning")
     )
+    evolved.meta.update(input_grid=_grid_meta(in_grid), output_grid=_grid_meta(out_grid))
     return evolved
 
 

@@ -206,28 +206,41 @@ def density_from_wavefunction(psi: WaveFunction) -> DensityMatrix:
 # --- evolution ---------------------------------------------------------------
 
 
-def evolve_wavefunction(psi: WaveFunction, green: GreenFunction, t: float) -> WaveFunction:
-    """Quadrature evolution Psi_t(x) = int G(x, y, t) Psi(y) dy.
+def propagate_states(
+    states: np.ndarray, grid: UniformGrid, out_grid: UniformGrid, green: GreenFunction, t: float
+) -> np.ndarray:
+    """Rows psi_k sampled on `grid` to int G(x, y, t) psi_k(y) dy on `out_grid`.
 
-    t = 0 returns the input unchanged.  At oscillator caustics t = n*pi the
-    kernel is a delta limit and the caustic error propagates.  Norm drift
-    beyond 1e-4 is reported via a warning, never corrected.
+    y is FFT-upsampled to the kernel's phase rate over both grids, so the
+    quadrature resolves G; a rate that needs more than grids.MAX_FINE
+    samples raises NumericalDomainError before anything is allocated.  All
+    rows share each y-chunk of the kernel, which bounds its memory.
     """
-    if t == 0:
-        return WaveFunction(grid=psi.grid, values=psi.values.copy())
-    green.check_time(t)
-    xmax = max(abs(psi.grid.lower), abs(psi.grid.upper))
-    rate = green.phase_rate_bound(xmax, xmax, t)
-    y, vals, step = refine_samples(psi.grid, psi.values, rate)
-    x = psi.grid.points
-    out = np.zeros(x.size, dtype=np.complex128)
+    rate = green.phase_rate_bound(out_grid.reach, grid.reach, t)
+    y, vals, step = refine_samples(grid, states, rate, axis=1)
+    x = out_grid.points
+    out = np.zeros((states.shape[0], x.size), dtype=np.complex128)
     w = trapezoid_weights(y.size, step)
     chunk = 1 << 13
     for lo in range(0, y.size, chunk):
         hi = min(lo + chunk, y.size)
-        kernel = green(x[:, None], y[None, lo:hi], t)
-        out += kernel @ (vals[lo:hi] * w[lo:hi])
-    result = WaveFunction(grid=psi.grid, values=out)
+        out += (vals[:, lo:hi] * w[lo:hi]) @ green(x[None, :], y[lo:hi, None], t)  # G(x_j, y_i) at [i, j]
+    return out
+
+
+def evolve_wavefunction(psi: WaveFunction, green: GreenFunction, t: float) -> WaveFunction:
+    """Quadrature evolution Psi_t(x) = int G(x, y, t) Psi(y) dy on psi's own grid.
+
+    The one-state case of `propagate_states`.  t = 0 returns the input
+    unchanged.  At oscillator caustics t = n*pi the kernel is a delta limit
+    and the caustic error propagates.  Norm drift beyond 1e-4 is reported
+    via a warning, never corrected.
+    """
+    if t == 0:
+        return WaveFunction(grid=psi.grid, values=psi.values.copy())
+    green.check_time(t)
+    out = propagate_states(psi.values[None, :], psi.grid, psi.grid, green, t)
+    result = WaveFunction(grid=psi.grid, values=out[0])
     drift = abs(result.norm() - 1.0)
     if drift > NORM_DRIFT_TOLERANCE:
         warnings.warn(f"evolved wavefunction norm drifted by {drift:.3g}", stacklevel=2)

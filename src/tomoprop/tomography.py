@@ -28,8 +28,10 @@ from .grids import (
 from .states import DensityMatrix, WaveFunction
 
 EPS_THETA = 1e-3  # below this |nu| a slice is the nu -> 0 limit
-MAX_COMPONENTS = 16  # spectral components kept by tomogram_from_density
+MAX_COMPONENTS = 16  # spectral components kept by spectral_components
 WEIGHT_FLOOR = 1e-6  # smallest spectral weight kept
+NEGATIVE_WEIGHT_BOUND = 0.1  # largest total |negative spectral weight| a density matrix may carry
+LIMIT_SPLINE_STEP = 6e-3  # largest sample step of the nu -> 0 limit spline
 MU_BAND_START = 16.0  # first mu band of density_from_tomogram
 MU_BAND_MAX = 40.0  # the band doubles up to this
 MU_EDGE_THRESHOLD = 1e-8  # band edge / peak ratio that ends the doubling
@@ -210,8 +212,8 @@ def _transform_state_batch(
     n_x = x_grid.count
     n_pos = grid.count
     period = n_pos * grid.step
-    ymax = max(abs(grid.lower), abs(grid.upper))
-    xabs = max(abs(x_grid.lower), abs(x_grid.upper))
+    ymax = grid.reach
+    xabs = x_grid.reach
     x_centre = X[n_x // 2]
     out = np.empty((theta_grid.count, n_x))
     limit_splines = None
@@ -221,8 +223,11 @@ def _transform_state_batch(
             # nu -> 0 limit: w(X, mu, 0) = |psi(X/mu)|^2 / |mu|
             if limit_splines is None:
                 # spline an upsampled copy so the interpolation error stays
-                # far below the quadrature error of the oscillatory slices
-                n_fine = min(8 * n_pos, MAX_FINE)
+                # far below the quadrature error of the oscillatory slices:
+                # 8 knots per sample, more where that leaves a step above
+                # LIMIT_SPLINE_STEP (an integer factor keeps the samples as knots)
+                factor = max(8, int(np.ceil(grid.step / LIMIT_SPLINE_STEP)))
+                n_fine = min(n_pos * factor, MAX_FINE)
                 fine_step = period / n_fine
                 c = cubic_spline_coeffs(fft_upsample(states, n_fine, axis=1).T, fine_step)
                 limit_splines = c.transpose(1, 0, 2)[None]  # (1, n_fine - 1, 4, n_states)
@@ -279,6 +284,39 @@ def tomogram_from_wavefunction(
     return Tomogram(x_grid=x_grid, theta_grid=theta_grid, values=vals)
 
 
+def spectral_components(rho: DensityMatrix):
+    """The cut of rho's spectrum that the forward transform and the Green route share.
+
+    Returns (states, weights, meta): the kept eigenvectors as L2-normalized
+    rows, their weights (eigenvalue times grid step, largest first) and the
+    meta keys `components`, `weight_kept` and `weight_dropped` (sums of
+    |weight|).  Rounding and reconstruction noise spread a Hermitian
+    matrix's eigenvalues on both sides of zero, so a positive weight no
+    larger than the most negative one's magnitude cannot be told apart from
+    that noise: kept are the positive weights above that magnitude and above
+    WEIGHT_FLOOR, at most MAX_COMPONENTS of them.  Negative weights summing
+    beyond NEGATIVE_WEIGHT_BOUND in magnitude raise InvalidInputError.
+    """
+    h = rho.grid.step
+    evals, evecs = np.linalg.eigh(rho.values)
+    weights = evals * h  # integral-operator eigenvalues, ascending
+    negative = -weights[weights < 0].sum()
+    if negative > NEGATIVE_WEIGHT_BOUND:
+        raise InvalidInputError(
+            f"density matrix is too indefinite for a tomogram (negative weight {negative:.3g})"
+        )
+    keep = np.flatnonzero(weights > max(-weights[0], WEIGHT_FLOOR))[::-1][:MAX_COMPONENTS]
+    if not keep.size:
+        raise InvalidInputError("density matrix has no significant spectral weight")
+    states = (evecs[:, keep].T / np.sqrt(h)).astype(np.complex128)
+    meta = {
+        "components": int(keep.size),
+        "weight_kept": float(weights[keep].sum()),
+        "weight_dropped": float(np.abs(np.delete(weights, keep)).sum()),
+    }
+    return states, weights[keep], meta
+
+
 def tomogram_from_density(
     rho: DensityMatrix,
     x_grid: UniformGrid | None = None,
@@ -287,40 +325,38 @@ def tomogram_from_density(
     """Forward transform of a (possibly mixed) density matrix.
 
     The bilinear transform is evaluated through the spectral decomposition
-    of rho: each retained eigenvector goes through the pure-state
-    transform and the tomogram is the weighted sum.  For a pure-state
-    projector this reduces exactly to the wavefunction route.  The meta
-    records the number of components and the sums of |weight| kept and
-    dropped by the cut.
+    of rho: each eigenvector kept by `spectral_components` goes through the
+    pure-state transform and the tomogram is the weighted sum.  For a
+    pure-state projector this reduces exactly to the wavefunction route.
+    The meta records the cut's `components`, `weight_kept` and
+    `weight_dropped`.
     """
     x_grid = x_grid or DEFAULT_X_GRID
     theta_grid = theta_grid or angle_grid()
-    h = rho.grid.step
-    evals, evecs = np.linalg.eigh(rho.values)
-    weights = evals * h  # integral-operator eigenvalues
-    order = np.argsort(-np.abs(weights))
-    keep = [k for k in order[:MAX_COMPONENTS] if abs(weights[k]) >= WEIGHT_FLOOR]
-    if not keep:
-        raise InvalidInputError("density matrix has no significant spectral weight")
-    states = (evecs[:, keep].T / np.sqrt(h)).astype(np.complex128)  # L2-normalized
-    w = weights[keep]
-    vals = _transform_state_batch(rho.grid, states, w, x_grid, theta_grid)
-    if vals.min() < -1e-3:
-        raise InvalidInputError(
-            f"density matrix is too indefinite for a tomogram (min value {vals.min():.3g})"
-        )
-    vals = np.maximum(vals, 0.0)  # clamp before normalization so slices stay exact
+    states, weights, meta = spectral_components(rho)
+    vals = _transform_state_batch(rho.grid, states, weights, x_grid, theta_grid)
     vals = _normalize_slices(vals, x_grid.step)
-    return Tomogram(
-        x_grid=x_grid,
-        theta_grid=theta_grid,
-        values=vals,
-        meta={
-            "components": len(keep),
-            "weight_kept": float(np.abs(weights[keep]).sum()),
-            "weight_dropped": float(np.abs(np.delete(weights, keep)).sum()),
-        },
-    )
+    return Tomogram(x_grid=x_grid, theta_grid=theta_grid, values=vals, meta=meta)
+
+
+def tomogram_moments(tomo: Tomogram):
+    """Mean (<x>, <p>) and covariance matrix of the state behind a tomogram.
+
+    The slice at theta, with (mu, nu) = (cos theta, sin theta), has mean
+    <X> = mu <x> + nu <p> and second moment <X^2> = mu^2 <x^2>
+    + 2 mu nu <xp>_sym + nu^2 <p^2>; both are solved by least squares over
+    the stored slices, whose moments are trapezoid sums over X.
+    """
+    th = tomo.theta_grid.points
+    mu, nu = np.cos(th), np.sin(th)
+    X = tomo.x_grid.points
+    weighted = tomo.values * trapezoid_weights(X.size, tomo.x_grid.step)
+    mass = weighted.sum(axis=1)
+    first = weighted @ X / mass
+    second = weighted @ X**2 / mass
+    mean = np.linalg.lstsq(np.stack([mu, nu], axis=1), first, rcond=None)[0]
+    xx, xp, pp = np.linalg.lstsq(np.stack([mu**2, 2.0 * mu * nu, nu**2], axis=1), second, rcond=None)[0]
+    return mean, np.array([[xx, xp], [xp, pp]]) - np.outer(mean, mean)
 
 
 # --- inverse transform -------------------------------------------------------

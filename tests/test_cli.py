@@ -126,6 +126,28 @@ def test_near_zero_time_exits_4(tmp_path, capsys, argv):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_green_route_near_a_caustic_exits_4_before_allocating(tmp_path, capsys):
+    # at t = pi - 1e-4 the oscillator kernel's phase rate over the packet's
+    # grids needs about 9.3e5 fine samples, past MAX_FINE = 2^18; the route
+    # refuses before the inverse transform, so nothing near the 30 MB the two
+    # upsampled components would take is ever allocated
+    import tracemalloc
+
+    argv = ["evolve", "--state", "gaussian:1,0.5,1", "--potential", "harmonic", "--route", "green",
+            "--t", repr(np.pi - 1e-4), "-o", str(tmp_path / "e.csv")]
+    tracemalloc.start()
+    try:
+        code, _, err = run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_DOMAIN
+    message = json.loads(err.strip())["message"]
+    assert "934264 fine samples" in message and "MAX_FINE = 262144" in message
+    assert peak < 262144 * 16
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_overflowing_kernel_exits_4(tmp_path, capsys):
     # k^2 = 1e400 overflows a double
     code, _, err = run(["kernel", "--t", "1", "--k", "1e200", "-o", str(tmp_path / "s.csv")], capsys)
@@ -134,7 +156,8 @@ def test_overflowing_kernel_exits_4(tmp_path, capsys):
 
 
 def test_aliased_green_route_names_the_cause(tmp_path, capsys):
-    # at X step 0.28 the slice characteristic's period 2 pi/h ~ 22 is below the mu band of 40
+    # at X step 0.28 the slice characteristic repeats past pi/h ~ 11, and the
+    # inverse reads frames out to radius 35 (mu band 32, nu up to 14.1)
     code, _, err = run(
         ["evolve", "--state", "ho_ground", "--potential", "harmonic", "--route", "green",
          "--t", "0.5", "-o", str(tmp_path / "e.csv")] + FAST,
@@ -142,7 +165,7 @@ def test_aliased_green_route_names_the_cause(tmp_path, capsys):
     )
     assert code == EXIT_INVALID
     message = json.loads(err.strip())["message"]
-    for part in ("mu_edge_ratio 0.994", "mu_band 40", "h = 0.28", "2 pi/h = 22.4", "too indefinite"):
+    for part in ("radius 35", "pi/h = 11.2", "h = 0.28", "2 pi/h = 22.4", "too indefinite"):
         assert part in message
     assert not (tmp_path / "e.csv").exists()
 
@@ -211,8 +234,8 @@ def test_reconstruct_sidecar_carries_inverse_diagnostics(tmp_path, capsys):
 
 
 def test_green_evolve_sidecar_carries_diagnostics(tmp_path, capsys):
-    # FAST's X step 0.28 puts the slice characteristic's period 2 pi / h below
-    # the mu band, so the Green route's reconstruction needs a finer X grid
+    # at FAST's X step 0.28 the slice characteristic repeats within the frames
+    # the inverse reads, so the Green route's reconstruction needs a finer X grid
     grids = ["--theta-count", "48", "--x-count", "201"]
     sidecars = {}
     for route in ("green", "pullback", "pde"):
@@ -221,13 +244,19 @@ def test_green_evolve_sidecar_carries_diagnostics(tmp_path, capsys):
         assert run(argv + grids, capsys)[0] == EXIT_OK
         sidecars[route] = json.loads(tio.meta_path_for(out).read_text())
     green = sidecars["green"]
-    diagnostics = {"components", "weight_kept", "weight_dropped", "mu_band", "mu_edge_ratio", "accuracy_warning"}
+    diagnostics = {
+        "components", "weight_kept", "weight_dropped", "mu_band", "mu_edge_ratio", "accuracy_warning",
+        "input_grid", "output_grid",
+    }
     assert set(green) - set(sidecars["pullback"]) == diagnostics
     assert set(sidecars["pde"]) == set(sidecars["pullback"])
     assert green["components"] >= 1 and green["weight_kept"] == pytest.approx(1.0, abs=1e-6)
     assert 0.0 <= green["weight_dropped"] < 1e-4
     assert green["mu_band"] == 16.0 and 0.0 <= green["mu_edge_ratio"] <= 1e-8
     assert green["accuracy_warning"] is False
+    for key in ("input_grid", "output_grid"):
+        lower, upper, count = green[key]
+        assert lower < 0.0 < upper and count >= 8
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -23,7 +23,7 @@ from tomoprop.greens import (
     green_sliced,
     green_van_fleck,
 )
-from tomoprop.propagator import DEFAULT_WORK_GRID
+from tomoprop.grids import UniformGrid
 
 
 def test_free_kernel_normalization_value():
@@ -202,7 +202,7 @@ def test_van_fleck_exact_for_free_and_oscillator():
 def test_van_fleck_amplitude_exact_on_work_grid():
     # the amplitude is the exact |d^2 S / dx dy|, free of the rounding noise a
     # finite difference of S carries where S is large
-    x = DEFAULT_WORK_GRID.points
+    x = UniformGrid(-10.0, 10.0, 384).points
     out, src = x[:, None], x[None, :]
     for t in (0.4, 0.8, 1.2):
         ref = green_oscillator(out, src, t)

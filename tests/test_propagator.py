@@ -9,7 +9,7 @@ from tomoprop.grids import UniformGrid
 from tomoprop.propagator import (
     DEFAULT_KERNEL_DOMAIN,
     DEFAULT_KERNEL_POINTS,
-    DEFAULT_WORK_GRID,
+    TAIL_SDS,
     KernelFourierQuery,
     _pullback_frame_matrix,
     check_composition,
@@ -216,7 +216,7 @@ def test_compare_requires_matching_grids(packet_tomogram):
 
 def test_green_route_carries_inverse_diagnostics(packet_tomogram):
     evolved = evolve_via_green(packet_tomogram, GreenFunction.oscillator(), 0.7)
-    rho = density_from_tomogram(packet_tomogram, DEFAULT_WORK_GRID)
+    rho = density_from_tomogram(packet_tomogram, UniformGrid(*evolved.meta["input_grid"]))
     assert evolved.meta["components"] >= 1
     for key in ("mu_band", "mu_edge_ratio", "accuracy_warning"):
         assert evolved.meta[key] == rho.meta[key]
@@ -225,7 +225,7 @@ def test_green_route_carries_inverse_diagnostics(packet_tomogram):
 
 def test_green_route_reads_half_the_frames(monkeypatch):
     # K(-mu, -nu) = conj K(mu, nu): the default mu band (641 points) times
-    # the nu >= 0 half of the work grid's differences (384) is all it reads
+    # the nu >= 0 half of the input grid's differences is all it reads
     counted = []
     original = tomography._slice_characteristic
 
@@ -235,5 +235,51 @@ def test_green_route_reads_half_the_frames(monkeypatch):
 
     monkeypatch.setattr(tomography, "_slice_characteristic", counting)
     tomo = tomogram_from_wavefunction(make_state(GaussianPacket(1.0, 0.5, 1.0)))
-    evolve_via_green(tomo, GreenFunction.oscillator(), 0.7)
-    assert 0 < sum(counted) <= 641 * 384
+    evolved = evolve_via_green(tomo, GreenFunction.oscillator(), 0.7)
+    assert 0 < sum(counted) <= 641 * evolved.meta["input_grid"][2]
+
+
+@pytest.fixture(scope="module")
+def default_packet_tomogram():
+    return tomogram_from_wavefunction(make_state(GaussianPacket(1.0, 0.5, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "potential, t",
+    [
+        (FREE, 0.05),  # short times: G's phase rate reaches 400
+        (FREE, 0.1),
+        (FREE, 3.0),  # the evolved packet's tails reach |x| = 25
+        (OSCILLATOR, 3.0),  # near the caustic at pi
+        (OSCILLATOR, 3.1),
+        (Potential(0.0, -0.2), 1.6),  # inverted oscillator: exponential spreading
+        (Potential(0.0, -0.2), 2.0),
+    ],
+    ids=["free-0.05", "free-0.1", "free-3.0", "oscillator-3.0", "oscillator-3.1", "inverted-1.6", "inverted-2.0"],
+)
+def test_green_route_matches_pullback_where_a_fixed_grid_failed(default_packet_tomogram, potential, t):
+    # criterion 3's bound; a fixed [-10, 10] grid of 384 points read up to 1.22 here
+    evolved = evolve_via_green(default_packet_tomogram, GreenFunction.for_potential(potential), t)
+    assert compare_tomograms(evolved, evolve_pullback(default_packet_tomogram, potential, t)).linf < 1e-3
+    assert evolved.meta["accuracy_warning"] is False
+
+
+def test_reconstructed_packet_keeps_two_components(default_packet_tomogram):
+    # past the packet and its leading correction, the reconstruction's
+    # spectrum is noise as large as its most negative weight
+    evolved = evolve_via_green(default_packet_tomogram, GreenFunction.oscillator(), 0.7)
+    assert evolved.meta["components"] == 2
+    assert evolved.meta["weight_kept"] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_green_route_grids_follow_the_flowed_moments(default_packet_tomogram):
+    # free motion for t = 3 carries <x> from 1 to 2.5 and sd_x from 0.71 to 2.2
+    evolved = evolve_via_green(default_packet_tomogram, GreenFunction.free(), 3.0)
+    lower, upper, count = evolved.meta["input_grid"]
+    assert (lower + upper) / 2 == pytest.approx(1.0, abs=1e-6)
+    assert upper - lower == pytest.approx(2 * TAIL_SDS * np.sqrt(0.5), rel=1e-6)
+    lower, upper, count = evolved.meta["output_grid"]
+    assert (lower + upper) / 2 == pytest.approx(2.5, abs=1e-5)
+    assert upper - lower == pytest.approx(2 * TAIL_SDS * np.sqrt(5.0), rel=1e-5)
+    # the step resolves momenta up to |<p>| + TAIL_SDS sd_p = 0.5 + 7.07
+    assert (upper - lower) / (count - 1) <= np.pi / (0.5 + TAIL_SDS * np.sqrt(0.5))

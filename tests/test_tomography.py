@@ -12,7 +12,6 @@ from tomoprop.states import (
     density_from_wavefunction,
     make_state,
 )
-from tomoprop.propagator import DEFAULT_WORK_GRID
 from tomoprop.tomography import (
     DEFAULT_THETA_COUNT,
     DEFAULT_X_GRID,
@@ -28,6 +27,7 @@ from tomoprop.tomography import (
     optical_slice,
     tomogram_from_density,
     tomogram_from_wavefunction,
+    tomogram_moments,
 )
 
 X_GRID = UniformGrid(-10.0, 10.0, 201)
@@ -144,6 +144,37 @@ def test_spectral_cut_records_kept_and_dropped_weight():
     assert tomo.meta["components"] == 16
     assert tomo.meta["weight_dropped"] > 1e-3
     assert tomo.meta["weight_kept"] + tomo.meta["weight_dropped"] == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, mean, cov",
+    [
+        ("gaussian:1,0.5,1", (1.0, 0.5), ((0.5, 0.0), (0.0, 0.5))),
+        ("gaussian:-2,1.5,0.8", (-2.0, 1.5), ((0.32, 0.0), (0.0, 0.78125))),
+        ("ho:3", (0.0, 0.0), ((3.5, 0.0), (0.0, 3.5))),
+    ],
+)
+def test_tomogram_moments_match_closed_forms(spec, mean, cov):
+    # a packet of width sigma has var x = sigma^2/2 and var p = 1/(2 sigma^2);
+    # |n> has <x^2> = <p^2> = n + 1/2
+    got_mean, got_cov = tomogram_moments(tomogram_from_wavefunction(make_state(spec)))
+    assert np.abs(got_mean - mean).max() < 1e-9
+    assert np.abs(got_cov - cov).max() < 1e-9
+
+
+def test_tomogram_moments_of_a_squeezed_rotated_packet():
+    # the oscillator rotates phase space, which correlates x and p; the
+    # pullback's linear blend between stored angles limits this to ~4e-5
+    from tomoprop.greens import OSCILLATOR, classical_flow
+    from tomoprop.propagator import evolve_pullback
+
+    tomo = tomogram_from_wavefunction(make_state("gaussian:1,0.5,0.7"))
+    m, c = classical_flow(OSCILLATOR, 0.6)
+    mean, cov = np.array([1.0, 0.5]), np.diag([0.245, 0.5 / 0.49])
+    got_mean, got_cov = tomogram_moments(evolve_pullback(tomo, OSCILLATOR, 0.6))
+    assert np.abs(got_mean - (m @ mean + c)).max() < 2e-4
+    assert np.abs(got_cov - m @ cov @ m.T).max() < 2e-4
+    assert abs(got_cov[0, 1]) > 0.1
 
 
 def test_pure_projector_drops_no_weight():
@@ -320,7 +351,7 @@ NARROW_PACKET = (0.5, 0.3, 0.3)  # |K| at |mu| = 16 is 3e-3 of its peak, so the 
 @pytest.mark.parametrize(
     "packet, target",
     [
-        (NEAR_PACKET, DEFAULT_WORK_GRID),
+        (NEAR_PACKET, UniformGrid(-10.0, 10.0, 384)),
         (NEAR_PACKET, UniformGrid(-6.0, 6.0, 96)),
         (FAR_PACKET, UniformGrid(-9.0, 13.0, 200)),
         (NARROW_PACKET, UniformGrid(-6.0, 6.0, 97)),
