@@ -47,6 +47,18 @@ EXIT_DOMAIN = 4
 
 _ROUTES = ("pullback", "green", "pde")
 
+# Grid sizes are bounded by a memory budget for one run.  Peak bytes per
+# X-theta lattice point and per pos_count^2 matrix entry were measured with
+# tracemalloc on 63k-252k point lattices and 512-2048 point position grids:
+# `evolve --route green` takes about 400 B a point (the inverse transform's
+# table dominates), `reconstruct` about 90 B an entry and `green` 40 B.
+# The bounds round those up; `RunConfig.validate` applies them before any numerics.
+MEMORY_BUDGET = 1 << 31  # 2 GiB
+BYTES_PER_LATTICE_POINT = 512
+BYTES_PER_MATRIX_ENTRY = 128
+MAX_LATTICE_POINTS = MEMORY_BUDGET // BYTES_PER_LATTICE_POINT  # 4194304, e.g. 2048 x 2048
+MAX_POS_COUNT = math.isqrt(MEMORY_BUDGET // BYTES_PER_MATRIX_ENTRY)  # 4096
+
 
 def parse_potential(text: str) -> Potential:
     """Parse "free", "harmonic", or "alpha=<a>,beta=<b>"."""
@@ -104,7 +116,9 @@ class RunConfig:
         return parse_potential(self.potential)
 
     def validate(self) -> None:
-        """Checks that hold whichever subcommand runs."""
+        """Checks that hold whichever subcommand runs: counts of at least 8,
+        within the memory bounds above, then the time, route, potential and
+        state."""
         for name, count in (
             ("x_count", self.x_count),
             ("theta_count", self.theta_count),
@@ -112,6 +126,18 @@ class RunConfig:
         ):
             if count < 8:
                 raise InvalidInputError(f"{name} must be at least 8, got {count}")
+        budget = f"the {MEMORY_BUDGET >> 30} GiB memory budget"
+        lattice = self.x_count * self.theta_count
+        if lattice > MAX_LATTICE_POINTS:
+            raise InvalidInputError(
+                f"x_count * theta_count = {lattice} lattice points exceed {MAX_LATTICE_POINTS}, "
+                f"{budget} at {BYTES_PER_LATTICE_POINT} B a point"
+            )
+        if self.pos_count > MAX_POS_COUNT:
+            raise InvalidInputError(
+                f"pos_count {self.pos_count} exceeds {MAX_POS_COUNT}: its {self.pos_count}^2 matrices "
+                f"need more than {budget} at {BYTES_PER_MATRIX_ENTRY} B an entry"
+            )
         if not isinstance(self.t, (int, float)) or not math.isfinite(self.t):
             raise InvalidInputError(f"t must be a finite number, got {self.t!r}")
         if self.route not in _ROUTES:

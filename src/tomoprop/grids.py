@@ -74,41 +74,48 @@ def integrate_samples(values, step: float):
     return step * (inner + 0.5 * (values[..., 0] + values[..., -1]))
 
 
-def fft_upsample(values, count: int, axis: int = -1) -> np.ndarray:
-    """Band-limited upsampling of periodic samples to `count` points along `axis`.
+def padded_spectrum(spectrum: np.ndarray, count: int) -> np.ndarray:
+    """The length-`count` spectrum of band-limited upsampling, from a full FFT along the last axis.
 
-    Zero-pads the spectrum; for an even input length the Nyquist bin is
-    split evenly between +/- Nyquist, as scipy.signal.resample does.  Real
-    input gives real output.
+    Zero-pads between the non-negative and the negative frequency bins; for
+    an even input length the Nyquist bin is split evenly between +/- Nyquist,
+    as scipy.signal.resample does.  Scaled by count / n, so the inverse FFT
+    of the result is the upsampled samples.
     """
-    values = np.moveaxis(np.asarray(values), axis, -1)
-    n = values.shape[-1]
+    n = spectrum.shape[-1]
     if count < n:
         raise InvalidInputError(f"cannot upsample {n} samples to {count}")
     half = n // 2 + 1  # non-negative frequency bins, Nyquist included
-    if np.iscomplexobj(values):
-        spec = np.fft.fft(values)
-        padded = np.zeros(values.shape[:-1] + (count,), dtype=spec.dtype)
-        padded[..., :half] = spec[..., :half]
-        padded[..., count - (n - half):] = spec[..., half:]
-        if n % 2 == 0 and count > n:
-            padded[..., n // 2] *= 0.5
-            padded[..., count - n // 2] = padded[..., n // 2]
-        out = np.fft.ifft(padded * (count / n))
-    else:
-        spec = np.fft.rfft(values)
-        if n % 2 == 0 and count > n:
-            spec[..., n // 2] *= 0.5
-        out = np.fft.irfft(spec * (count / n), n=count)
+    padded = np.zeros(spectrum.shape[:-1] + (count,), dtype=np.complex128)
+    padded[..., :half] = spectrum[..., :half]
+    padded[..., count - (n - half):] = spectrum[..., half:]
+    if n % 2 == 0 and count > n:
+        padded[..., n // 2] *= 0.5
+        padded[..., count - n // 2] = padded[..., n // 2]
+    padded *= count / n
+    return padded
+
+
+def fft_upsample(values, count: int, axis: int = -1) -> np.ndarray:
+    """Band-limited upsampling of periodic samples to `count` points along `axis`.
+
+    The inverse FFT of `padded_spectrum`; real input gives real output.
+    """
+    values = np.moveaxis(np.asarray(values), axis, -1)
+    out = np.fft.ifft(padded_spectrum(np.fft.fft(values), count))
+    if not np.iscomplexobj(values):
+        out = out.real
     return np.moveaxis(out, -1, axis)
 
 
 def fine_count(grid: UniformGrid, max_freq: float) -> int:
     """Samples over `grid`'s period whose step resolves phases up to max_freq rad/unit.
 
-    At least `grid.count`.  A count above MAX_FINE raises
-    NumericalDomainError: it is refused, never capped, so a caller can
-    decide before allocating anything.
+    `grid.count` when that suffices, else the need rounded up by
+    `next_fast_len`, so every FFT of the fine samples has only the factors
+    2, 3, 5, 7 and 11.  A need above MAX_FINE (itself 11-smooth) raises
+    NumericalDomainError naming the need: it is refused, never capped, so
+    a caller can decide before allocating anything.
     """
     n = grid.count
     needed = int(np.ceil(n * grid.step * max_freq * _OVERSAMPLE / (2.0 * np.pi)))
@@ -117,7 +124,7 @@ def fine_count(grid: UniformGrid, max_freq: float) -> int:
             f"phase rate {max_freq:.3g} on [{grid.lower:.3g}, {grid.upper:.3g}] needs {needed} "
             f"fine samples, more than MAX_FINE = {MAX_FINE}"
         )
-    return max(n, needed)
+    return n if needed <= n else next_fast_len(needed)
 
 
 def refine_samples(grid: UniformGrid, values, max_freq: float, axis: int = -1):

@@ -69,6 +69,22 @@ def _write_table(path: str | Path, first_line: str, table: np.ndarray) -> None:
             handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
+def _write_lattice(path: str | Path, first_line: str, outer, before: list[str], after: list[str], values) -> None:
+    """`first_line`, then one line per lattice point, outer coordinate slowest.
+
+    The line of inner point i under outer value o is before[i] + _fmt(o) +
+    after[i]; the %.17g slots the texts hold are filled, line after line,
+    from row o of `values`.  The coordinates are formatted once per axis by
+    the caller, and each outer row becomes one string: the outer text joins
+    the pieces before[0], after[0] + before[1], ..., after[-1].
+    """
+    pieces = [before[0]] + [a + b for a, b in zip(after[:-1], before[1:])] + [after[-1]]
+    with _atomic_open(path) as handle:
+        handle.write(first_line)
+        for o, row in zip(outer, values):
+            handle.write(_fmt(o).join(pieces) % tuple(row.tolist()))
+
+
 def _load_rows(handle, path: Path) -> np.ndarray:
     """The remaining lines of an open CSV as a float matrix (one row per line)."""
     try:
@@ -97,9 +113,13 @@ def write_metadata(path: str | Path, meta: dict) -> None:
 
 
 def write_tomogram(path: str | Path, tomo: Tomogram, meta: dict | None = None) -> None:
-    """Tomogram CSV: header X,theta,w; theta outer, X inner, row major."""
-    X, Th = np.meshgrid(tomo.x_grid.points, tomo.theta_grid.points)
-    _write_table(path, "X,theta,w\n", np.column_stack([X.ravel(), Th.ravel(), tomo.values.ravel()]))
+    """Tomogram CSV: header X,theta,w; theta outer, X inner, row major.
+
+    X and theta are formatted once per axis and only w per value; the bytes
+    are those of formatting every field with _fmt.
+    """
+    before = [_fmt(x) + "," for x in tomo.x_grid.points]
+    _write_lattice(path, "X,theta,w\n", tomo.theta_grid.points, before, [f",{_FMT}\n"] * len(before), tomo.values)
     payload = dict(meta or {})
     payload.update(
         {
@@ -169,18 +189,14 @@ def write_kernel_scan(path: str | Path, rows, meta: dict | None = None) -> None:
 def write_green_grid(path: str | Path, x: np.ndarray, y: np.ndarray, t: float, values: np.ndarray, meta: dict | None = None) -> None:
     """Propagator grid CSV: header x,y,t,re,im; x outer, y inner.
 
-    Every x block repeats the same y and t fields, so each line's tail
-    "<y>,<t>,%.17g,%.17g" is built once and only re and im are formatted
-    per value; the bytes are those of formatting every field with _fmt.
+    Every x block repeats the same y and t fields, so only re and im are
+    formatted per value; the bytes are those of formatting every field with
+    _fmt.
     """
     pairs = np.ascontiguousarray(values, dtype=complex).view(float)  # re, im interleaved per row
     t_text = _fmt(t)
-    tails = [f"{_fmt(v)},{t_text},{_FMT},{_FMT}\n" for v in y]
-    with _atomic_open(path) as handle:
-        handle.write("x,y,t,re,im\n")
-        for xi, row in zip(x, pairs):
-            head = _fmt(xi) + ","
-            handle.write((head + head.join(tails)) % tuple(row.tolist()))
+    after = [f",{_fmt(v)},{t_text},{_FMT},{_FMT}\n" for v in y]
+    _write_lattice(path, "x,y,t,re,im\n", x, [""] * len(after), after, pairs)
     write_metadata(path, meta or {})
 
 

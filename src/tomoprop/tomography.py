@@ -19,10 +19,10 @@ from .grids import (
     UniformGrid,
     cubic_spline_coeffs,
     eval_spline,
-    fft_upsample,
+    fine_count,
     integrate_samples,
     next_fast_len,
-    refine_samples,
+    padded_spectrum,
     trapezoid_weights,
 )
 from .states import DensityMatrix, WaveFunction
@@ -186,6 +186,26 @@ def _fold_frames(mu: np.ndarray, nu: np.ndarray, n: int):
 # --- forward transforms ------------------------------------------------------
 
 
+def _angle_pairs(theta: np.ndarray, keep: np.ndarray) -> list[tuple[int, int | None]]:
+    """The slices `keep` selects, as (j, i) with theta_i = pi - theta_j and i > j,
+    or (j, None) for a slice without a partner (theta = pi/2 is its own).
+
+    `theta` is ascending; angles within 1e-12 rad count as equal.
+    """
+    target = np.pi - theta
+    pos = np.clip(np.searchsorted(theta, target), 1, theta.size - 1)
+    near = np.where(np.abs(theta[pos - 1] - target) <= np.abs(theta[pos] - target), pos - 1, pos)
+    partner = np.where(np.abs(theta[near] - target) <= 1e-12, near, -1)
+    groups = []
+    for j in np.flatnonzero(keep):
+        i = int(partner[j])
+        if i < 0 or i == j or not keep[i]:
+            groups.append((int(j), None))
+        elif i > j:  # i < j was emitted as (i, j)
+            groups.append((int(j), i))
+    return groups
+
+
 def _transform_state_batch(
     grid: UniformGrid,
     states: np.ndarray,
@@ -198,7 +218,8 @@ def _transform_state_batch(
     Per theta slice the inner chirped Fourier sum is evaluated on an
     FFT-upsampled position grid fine enough to resolve the phase
     mu y^2/(2 nu) - X y/nu; accuracy target 1e-6 against a 4x-resolution
-    reference.
+    reference.  The states' spectrum is taken once; each slice zero-pads it
+    to its own fine count (`grids.padded_spectrum`).
 
     The sum over the uniform fine grid y_k = y_c + k dy at the uniform
     X_m = X_c + m dX (k, m centred integer offsets) is a chirp-z transform:
@@ -207,36 +228,54 @@ def _transform_state_batch(
     m alone, so |amp_m| is the modulus of one linear convolution with the
     kernel exp(i a j^2/2), done by FFT (Bluestein's algorithm).  Dropping
     the m-only phases leaves |amp|^2 unchanged.
+
+    The slices theta and pi - theta share one pass: their frames (mu, nu)
+    and (-mu, nu) give the same fine count, step, a, X_c and kernel, and
+    the phase mu y^2/(2 nu) only changes sign.  So the partner rows take
+    the same fine samples times the conjugate chirp, and both slices go
+    through one batched FFT, kernel product and inverse FFT (CONVENTIONS.md
+    derives this from the conjugate-reversed kernel spectrum).  A slice
+    without a partner, theta = pi/2 included, runs alone.
     """
     X = x_grid.points
     n_x = x_grid.count
     n_pos = grid.count
+    n_states = states.shape[0]
     period = n_pos * grid.step
     ymax = grid.reach
     xabs = x_grid.reach
     x_centre = X[n_x // 2]
+    theta = theta_grid.points
+    mus, nus = np.cos(theta), np.sin(theta)
+    limit = np.abs(nus) < EPS_THETA
     out = np.empty((theta_grid.count, n_x))
-    limit_splines = None
-    for j, theta in enumerate(theta_grid.points):
-        mu, nu = np.cos(theta), np.sin(theta)
-        if abs(nu) < EPS_THETA:
-            # nu -> 0 limit: w(X, mu, 0) = |psi(X/mu)|^2 / |mu|
-            if limit_splines is None:
-                # spline an upsampled copy so the interpolation error stays
-                # far below the quadrature error of the oscillatory slices:
-                # 8 knots per sample, more where that leaves a step above
-                # LIMIT_SPLINE_STEP (an integer factor keeps the samples as knots)
-                factor = max(8, int(np.ceil(grid.step / LIMIT_SPLINE_STEP)))
-                n_fine = min(n_pos * factor, MAX_FINE)
-                fine_step = period / n_fine
-                c = cubic_spline_coeffs(fft_upsample(states, n_fine, axis=1).T, fine_step)
-                limit_splines = c.transpose(1, 0, 2)[None]  # (1, n_fine - 1, 4, n_states)
-            vals = eval_spline(limit_splines, 0, X / mu, grid.lower, fine_step, grid.upper)
-            out[j] = (np.abs(vals) ** 2) @ weights / abs(mu)
-            continue
-        max_freq = (abs(mu) * ymax + xabs) / abs(nu)
-        y, fine, step = refine_samples(grid, states, max_freq, axis=1)
-        n_y = y.size
+    spectrum = np.fft.fft(states, axis=1)  # shared by every slice's upsampling
+    if limit.any():
+        # nu -> 0 limit: w(X, mu, 0) = |psi(X/mu)|^2 / |mu|.  Spline an
+        # upsampled copy so the interpolation error stays far below the
+        # quadrature error of the oscillatory slices: 8 knots per sample,
+        # more where that leaves a step above LIMIT_SPLINE_STEP (an integer
+        # factor keeps the samples as knots)
+        factor = max(8, int(np.ceil(grid.step / LIMIT_SPLINE_STEP)))
+        n_fine = min(n_pos * factor, MAX_FINE)
+        fine_step = period / n_fine
+        fine = np.fft.ifft(padded_spectrum(spectrum, n_fine))
+        c = cubic_spline_coeffs(fine.T, fine_step)
+        del fine
+        splines = c.transpose(1, 0, 2)[None]  # (1, n_fine - 1, 4, n_states)
+        for j in np.flatnonzero(limit):
+            vals = eval_spline(splines, 0, X / mus[j], grid.lower, fine_step, grid.upper)
+            out[j] = (np.abs(vals) ** 2) @ weights / abs(mus[j])
+        del c, splines
+    for j, partner in _angle_pairs(theta, ~limit):
+        mu, nu = mus[j], nus[j]
+        n_y = fine_count(grid, (abs(mu) * ymax + xabs) / abs(nu))
+        if n_y == n_pos:
+            y, fine, step = grid.points, states, grid.step
+        else:
+            step = period / n_y
+            y = grid.lower + step * np.arange(n_y)
+            fine = np.fft.ifft(padded_spectrum(spectrum, n_y))
         size = next_fast_len(n_y + n_x - 1)
         a = x_grid.step * step / nu
         k = np.arange(n_y) - n_y // 2
@@ -245,17 +284,21 @@ def _transform_state_batch(
         lag = n_y - 1 - n_y // 2 + n_x // 2
         j_kernel = np.arange(n_y + n_x - 1) - lag
         kernel = np.fft.fft(np.exp(0.5j * a * j_kernel**2), size)  # shared by all states
-        # copying into the padded buffer leaves the caller's states untouched
-        buf = np.zeros((states.shape[0], size), dtype=np.complex128)
-        buf[:, :n_y] = fine
+        chirp = np.exp(0.5j * mu * y**2 / nu)
+        shift = step * np.exp(-1j * (x_centre * y / nu + 0.5 * a * k**2))
+        slices = [j] if partner is None else [j, partner]
+        # writing into the padded buffer leaves the caller's states untouched
+        buf = np.zeros((len(slices), n_states, size), dtype=np.complex128)
+        np.multiply(fine, chirp * shift, out=buf[0, :, :n_y])
+        if partner is not None:  # (-mu, nu): the same sum with the chirp conjugated
+            np.multiply(fine, chirp.conj() * shift, out=buf[1, :, :n_y])
         del fine
-        buf[:, :n_y] *= step * np.exp(1j * (0.5 * mu * y**2 / nu - x_centre * y / nu - 0.5 * a * k**2))
-        np.fft.fft(buf, axis=1, out=buf)
+        np.fft.fft(buf, axis=2, out=buf)
         buf *= kernel
-        np.fft.ifft(buf, axis=1, out=buf)
-        power = np.abs(buf[:, n_y - 1:n_y - 1 + n_x]) ** 2
-        del buf  # free before the next slice upsamples
-        out[j] = weights @ power / (2.0 * np.pi * abs(nu))
+        np.fft.ifft(buf, axis=2, out=buf)
+        power = np.abs(buf[:, :, n_y - 1:n_y - 1 + n_x]) ** 2
+        del buf  # free before the next pair upsamples
+        out[slices] = weights @ power / (2.0 * np.pi * abs(nu))
     return out
 
 

@@ -5,10 +5,15 @@ import pytest
 
 from tomoprop import io as tio
 from tomoprop.cli import (
+    BYTES_PER_LATTICE_POINT,
+    BYTES_PER_MATRIX_ENTRY,
     EXIT_DOMAIN,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_TOLERANCE,
+    MAX_LATTICE_POINTS,
+    MAX_POS_COUNT,
+    MEMORY_BUDGET,
     RunConfig,
     build_parser,
     main,
@@ -44,6 +49,45 @@ def test_config_validation():
     # the pullback serves every quadratic potential
     RunConfig(route="pullback", potential="alpha=1,beta=0.3").validate()
     RunConfig(route="pullback", potential="harmonic").validate()
+
+
+def test_config_refuses_grids_past_the_memory_budget():
+    # validate only reads the counts, so the bounds themselves are checked without allocating
+    assert MAX_LATTICE_POINTS * BYTES_PER_LATTICE_POINT == MEMORY_BUDGET
+    assert MAX_POS_COUNT**2 * BYTES_PER_MATRIX_ENTRY <= MEMORY_BUDGET
+    RunConfig(x_count=MAX_LATTICE_POINTS // 1024, theta_count=1024, pos_count=MAX_POS_COUNT).validate()
+    with pytest.raises(InvalidInputError, match="lattice points exceed"):
+        RunConfig(x_count=MAX_LATTICE_POINTS // 1024 + 1, theta_count=1024).validate()
+    with pytest.raises(InvalidInputError, match="lattice points exceed"):
+        RunConfig(x_count=10**9, theta_count=10**9).validate()
+    with pytest.raises(InvalidInputError, match=f"pos_count {MAX_POS_COUNT + 1} exceeds"):
+        RunConfig(pos_count=MAX_POS_COUNT + 1).validate()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tomogram", "--x-count", "70000", "--theta-count", "70000"],
+        ["evolve", "--route", "green", "--x-count", "4097", "--theta-count", "1025"],
+        ["green", "--pos-count", "100000"],
+        ["reconstruct", "missing.csv", "--pos-count", "4097"],
+    ],
+    ids=["tomogram", "evolve", "green", "reconstruct"],
+)
+def test_cli_refuses_grids_past_the_memory_budget_before_numerics(tmp_path, capsys, argv):
+    import tracemalloc
+
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        code, _, err = run(argv + ["-o", str(out)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INVALID
+    assert "memory budget" in json.loads(err.strip())["message"]
+    assert peak < 1 << 20  # refused from the counts alone
+    assert not out.exists()
 
 
 def test_tomogram_subcommand_writes_files(tmp_path, capsys):

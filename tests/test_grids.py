@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from tomoprop.errors import InvalidInputError, NumericalDomainError
 from tomoprop.grids import (
+    MAX_FINE,
     UniformGrid,
     cubic_spline_coeffs,
     eval_spline,
     fft_upsample,
+    fine_count,
     integrate_samples,
     next_fast_len,
     refine_samples,
@@ -108,6 +110,26 @@ def test_refine_samples_resolves_requested_frequency():
     assert 2.0 * np.pi / step >= 2.5 * 40.0
     assert np.abs(fine - np.exp(-y**2)).max() < 1e-10
     assert refine_samples(grid, values, 1.0)[1] is values
+
+
+def _is_11_smooth(n):
+    for q in (2, 3, 5, 7, 11):
+        while n % q == 0:
+            n //= q
+    return n == 1
+
+
+def test_fine_count_is_fft_friendly():
+    grid = UniformGrid(-12.0, 12.0, 512)
+    for max_freq in np.geomspace(1.0, 2.0e4, 200):
+        count = fine_count(grid, max_freq)
+        needed = grid.count * grid.step * max_freq * 2.5 / (2.0 * np.pi)
+        if np.ceil(needed) <= grid.count:
+            assert count == grid.count
+        else:
+            assert needed <= count and _is_11_smooth(count)
+    with pytest.raises(NumericalDomainError, match=f"more than MAX_FINE = {MAX_FINE}"):
+        fine_count(grid, 1.0e6)
 
 
 def test_next_fast_len_matches_scipy():

@@ -20,6 +20,7 @@ from tomoprop.tomography import (
     MU_BAND_START,
     MU_EDGE_THRESHOLD,
     Tomogram,
+    _angle_pairs,
     _slice_characteristic,
     _transform_state_batch,
     angle_grid,
@@ -414,16 +415,48 @@ def test_forward_transform_matches_dense_sum(x_grid, spec):
     assert np.abs(got - want).max() < 1e-10
 
 
-def test_forward_transform_matches_dense_sum_for_signed_mixture():
+# theta and pi - theta pair up; the odd count adds pi/2, which is its own partner
+PAIRED_ANGLES = UniformGrid(0.3, np.pi - 0.3, 8)
+PAIRED_ANGLES_AND_HALF_PI = UniformGrid(0.3, np.pi - 0.3, 9)
+OFF_CENTRE_X_GRID = UniformGrid(-9.0, 13.0, 200)
+
+
+@pytest.mark.parametrize(
+    "x_grid, theta_grid",
+    [
+        (DEFAULT_X_GRID, FEW_ANGLES),
+        (DEFAULT_X_GRID, PAIRED_ANGLES),
+        (DEFAULT_X_GRID, PAIRED_ANGLES_AND_HALF_PI),
+        (OFF_CENTRE_X_GRID, PAIRED_ANGLES),
+        (OFF_CENTRE_X_GRID, PAIRED_ANGLES_AND_HALF_PI),
+    ],
+    ids=["unpaired", "paired", "paired_half_pi", "off_centre_paired", "off_centre_paired_half_pi"],
+)
+def test_forward_transform_matches_dense_sum_for_signed_mixture(x_grid, theta_grid):
     specs = ["ho:0", "ho:1", "ho:3", "gaussian:1,0.5,1", "gaussian:-2,1.5,0.8", "gaussian:3,-2,0.7"]
     grid = make_state("ho:0").grid
     states = np.array([make_state(spec, grid).values for spec in specs], dtype=np.complex128)
     before = states.copy()
     weights = np.array([0.4, 0.3, -0.05, 0.25, -0.02, 0.12])
-    got = _transform_state_batch(grid, states, weights, DEFAULT_X_GRID, FEW_ANGLES)
-    want = dense_transform_batch(grid, states, weights, DEFAULT_X_GRID, FEW_ANGLES)
+    got = _transform_state_batch(grid, states, weights, x_grid, theta_grid)
+    want = dense_transform_batch(grid, states, weights, x_grid, theta_grid)
     assert np.abs(got - want).max() < 1e-10
     assert np.array_equal(states, before)  # the caller's states are never written
+
+
+def test_angle_pairs_cover_every_slice_once():
+    theta = angle_grid(180).points
+    groups = _angle_pairs(theta, np.ones(theta.size, dtype=bool))
+    pairs = [g for g in groups if g[1] is not None]
+    assert len(pairs) == 89 and all(i == 180 - j for j, i in pairs)
+    assert sorted(j for j, i in groups if i is None) == [0, 90]
+    assert sorted(k for g in groups for k in g if k is not None) == list(range(180))
+    # a partner outside the selection leaves its slice alone
+    keep = np.ones(theta.size, dtype=bool)
+    keep[170] = False
+    assert (10, None) in _angle_pairs(theta, keep)
+    # a grid without pi - theta partners runs every slice alone
+    assert all(i is None for _, i in _angle_pairs(FEW_ANGLES.points, np.ones(8, dtype=bool)))
 
 
 def test_forward_transform_matches_dense_sum_near_nu_zero():
