@@ -19,7 +19,7 @@ from tomoprop.cli import parse_potential
 from tomoprop.greens import GreenFunction
 from tomoprop.propagator import compare_tomograms, evolve_pullback, evolve_via_green
 from tomoprop.states import make_state
-from tomoprop.tomography import angle_grid, tomogram_from_wavefunction
+from tomoprop.tomography import tomogram_from_wavefunction
 from tomoprop.transport import reduce_evolution_equation, solve_characteristics
 
 
@@ -34,7 +34,7 @@ def main() -> int:
 
     potential = parse_potential(args.potential)
     psi = make_state(args.state)
-    tomo = tomogram_from_wavefunction(psi, theta_grid=angle_grid(args.theta_count))
+    tomo = tomogram_from_wavefunction(psi, theta_count=args.theta_count)
 
     results = {
         "pullback": evolve_pullback(tomo, potential, args.t),

@@ -34,7 +34,6 @@ from .tomography import (
     DEFAULT_THETA_COUNT,
     DEFAULT_X_GRID,
     Tomogram,
-    angle_grid,
     density_from_tomogram,
     tomogram_from_wavefunction,
 )
@@ -50,8 +49,8 @@ _ROUTES = ("pullback", "green", "pde")
 # Grid sizes are bounded by a memory budget for one run.  Peak bytes per
 # X-theta lattice point and per pos_count^2 matrix entry were measured with
 # tracemalloc on 63k-252k point lattices and 512-2048 point position grids:
-# `evolve --route green` takes about 400 B a point (the inverse transform's
-# table dominates), `reconstruct` about 90 B an entry and `green` 40 B.
+# `evolve --route green` takes 230-300 B a point (the inverse transform's
+# table and frame blocks dominate), `reconstruct` about 90 B an entry and `green` 40 B.
 # The bounds round those up; `RunConfig.validate` applies them before any numerics.
 MEMORY_BUDGET = 1 << 31  # 2 GiB
 BYTES_PER_LATTICE_POINT = 512
@@ -211,7 +210,7 @@ def _base_meta(config: RunConfig) -> dict:
 
 def _initial_tomogram(config: RunConfig) -> Tomogram:
     psi = make_state(config.state, config.position_grid())
-    return tomogram_from_wavefunction(psi, config.x_grid(), angle_grid(config.theta_count))
+    return tomogram_from_wavefunction(psi, config.x_grid(), config.theta_count)
 
 
 def _cmd_tomogram(args: argparse.Namespace) -> int:

@@ -124,7 +124,7 @@ def write_tomogram(path: str | Path, tomo: Tomogram, meta: dict | None = None) -
     payload.update(
         {
             "x_grid": {"lower": tomo.x_grid.lower, "upper": tomo.x_grid.upper, "count": tomo.x_grid.count},
-            "theta_count": tomo.theta_grid.count,
+            "theta_count": tomo.theta_count,
         }
     )
     write_metadata(path, payload)
@@ -152,9 +152,8 @@ def read_tomogram(path: str | Path) -> Tomogram:
     n_theta = data.shape[0] // n_x
     lattice = data.reshape(n_theta, n_x, 3)
     x_grid = UniformGrid(float(lattice[0, 0, 0]), float(lattice[0, -1, 0]), n_x)
-    theta_grid = angle_grid(n_theta)
     x_off = np.abs(lattice[:, :, 0] - x_grid.points).max()
-    theta_off = np.abs(lattice[:, :, 1] - theta_grid.points[:, None]).max()
+    theta_off = np.abs(lattice[:, :, 1] - angle_grid(n_theta).points[:, None]).max()
     if x_off > _LATTICE_RTOL * x_grid.span or theta_off > _LATTICE_RTOL * np.pi:
         raise InvalidInputError(
             f"tomogram file is not on a uniform X grid and the angle_grid({n_theta}) lattice: {path}"
@@ -170,7 +169,7 @@ def read_tomogram(path: str | Path) -> Tomogram:
             )
     values = lattice[:, :, 2]
     values[(values < 0.0) & (values >= -FILE_NEGATIVE_TOL)] = 0.0
-    return Tomogram(x_grid=x_grid, theta_grid=theta_grid, values=values, meta=meta)
+    return Tomogram(x_grid=x_grid, theta_count=n_theta, values=values, meta=meta)
 
 
 # --- kernel scans ------------------------------------------------------------

@@ -124,7 +124,7 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
     if t != 0:
         states = propagate_states(states, in_grid, out_grid, green, t)
     rho_t = DensityMatrix(grid=out_grid, values=(states.T * weights) @ states.conj())
-    evolved = tomogram_from_density(rho_t, tomo.x_grid, tomo.theta_grid)
+    evolved = tomogram_from_density(rho_t, tomo.x_grid, tomo.theta_count)
     evolved.meta.update(cut)  # the input cut's figures, in place of the output's
     evolved.meta.update(
         (key, rho.meta[key]) for key in ("mu_band", "mu_edge_ratio", "accuracy_warning")
@@ -202,11 +202,11 @@ class ComparisonReport:
 
 
 def compare_tomograms(a: Tomogram, b: Tomogram) -> ComparisonReport:
-    if a.values.shape != b.values.shape:
+    if a.x_grid != b.x_grid or a.theta_count != b.theta_count:
         raise InvalidInputError("tomograms must share a grid to be compared")
     diff = a.values - b.values
     hx = a.x_grid.step
-    htheta = np.pi / a.theta_grid.count
+    htheta = np.pi / a.theta_count
     return ComparisonReport(
         linf=float(np.abs(diff).max()),
         l2=float(np.sqrt(np.sum(diff**2) * hx * htheta)),

@@ -41,7 +41,7 @@ DEFAULT_THETA_COUNT = 180
 CONVENTION_VERSION = "tomoprop-conventions-1"
 
 
-def angle_grid(count: int = DEFAULT_THETA_COUNT) -> UniformGrid:
+def angle_grid(count: int) -> UniformGrid:
     """Uniform angles 0, d, ..., pi - d with d = pi / count (all inside [0, pi))."""
     return UniformGrid(0.0, np.pi * (count - 1) / count, count)
 
@@ -50,16 +50,17 @@ def angle_grid(count: int = DEFAULT_THETA_COUNT) -> UniformGrid:
 class Tomogram:
     """Marginal distribution w(X, theta) with mu = cos theta, nu = sin theta.
 
-    `values` has shape (n_theta, n_x).  Off-lattice frames are served by
-    `evaluate`, which applies the homogeneity law w(aX, a mu, a nu) =
-    w(X, mu, nu)/|a| before any interpolation, so the scaling identity is
-    algebraically exact.  A tomogram produced by a coordinate pullback
+    The lattice is (x_grid, angle_grid(theta_count)): `values` has shape
+    (theta_count, n_x), slice j at theta_j = j pi / theta_count.
+    Off-lattice frames are served by `evaluate`, which applies the
+    homogeneity law w(aX, a mu, a nu) = w(X, mu, nu)/|a| before any
+    interpolation, so the scaling identity is algebraically exact.  A tomogram produced by a coordinate pullback
     keeps a reference to its base together with the linear frame map, so
     repeated pullbacks compose exactly at the coordinate level.
     """
 
     x_grid: UniformGrid
-    theta_grid: UniformGrid
+    theta_count: int
     values: np.ndarray
     base: "Tomogram | None" = None
     frame_map: np.ndarray | None = None
@@ -67,6 +68,7 @@ class Tomogram:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
+        # building theta_grid also refuses a count below 8
         if vals.shape != (self.theta_grid.count, self.x_grid.count):
             raise InvalidInputError(
                 f"tomogram values shape {vals.shape} does not match grids"
@@ -78,9 +80,10 @@ class Tomogram:
                 f"tomogram has negative values down to {vals.min():.3g}"
             )
         object.__setattr__(self, "values", np.maximum(vals, 0.0))
-        last = self.theta_grid.upper
-        if self.theta_grid.lower < 0 or last >= np.pi:
-            raise InvalidInputError("theta grid must lie inside [0, pi)")
+
+    @cached_property
+    def theta_grid(self) -> UniformGrid:
+        return angle_grid(self.theta_count)
 
     def slice_norms(self) -> np.ndarray:
         return integrate_samples(self.values, self.x_grid.step)
@@ -99,7 +102,7 @@ class Tomogram:
 
     def _evaluate_block(self, X: np.ndarray, mu: np.ndarray, nu: np.ndarray, s: np.ndarray) -> np.ndarray:
         """`evaluate` of this lattice tomogram on flat frame arrays with s > 0."""
-        flip, j0, j1, frac, wrap = _fold_frames(mu, nu, self.theta_grid.count)
+        flip, j0, j1, frac, wrap = _fold_frames(mu, nu, self.theta_count)
         u = np.where(flip, -X, X) / s
         u1 = np.where(wrap, -u, u)
         v0 = self._interp_rows(j0, u)
@@ -150,13 +153,12 @@ class Tomogram:
         """
         base = self.base if self.base is not None else self
         composed = (self.frame_map @ matrix) if self.frame_map is not None else matrix
-        th = self.theta_grid.points
-        Xg, Th = np.meshgrid(self.x_grid.points, th, indexing="xy")
+        Xg, Th = np.meshgrid(self.x_grid.points, self.theta_grid.points, indexing="xy")
         q = composed @ np.stack([Xg.ravel(), np.cos(Th).ravel(), np.sin(Th).ravel()])
-        vals = base.evaluate(q[0], q[1], q[2]).reshape(self.theta_grid.count, self.x_grid.count)
+        vals = base.evaluate(q[0], q[1], q[2]).reshape(self.theta_count, self.x_grid.count)
         return Tomogram(
             x_grid=self.x_grid,
-            theta_grid=self.theta_grid,
+            theta_count=self.theta_count,
             values=vals,
             base=base,
             frame_map=composed,
@@ -186,23 +188,15 @@ def _fold_frames(mu: np.ndarray, nu: np.ndarray, n: int):
 # --- forward transforms ------------------------------------------------------
 
 
-def _angle_pairs(theta: np.ndarray, keep: np.ndarray) -> list[tuple[int, int | None]]:
-    """The slices `keep` selects, as (j, i) with theta_i = pi - theta_j and i > j,
-    or (j, None) for a slice without a partner (theta = pi/2 is its own).
-
-    `theta` is ascending; angles within 1e-12 rad count as equal.
+def _angle_pairs(n: int, limit: np.ndarray) -> list[tuple[int, int | None]]:
+    """The slices of angle_grid(n) outside the nu -> 0 `limit`, as (j, n - j),
+    theta_j and its partner pi - theta_j, then (n/2, None) for pi/2, its own
+    partner.  Slice 0 is always in the limit, and |sin theta| is the same
+    for j and n - j, so a pair is in or out as a whole.
     """
-    target = np.pi - theta
-    pos = np.clip(np.searchsorted(theta, target), 1, theta.size - 1)
-    near = np.where(np.abs(theta[pos - 1] - target) <= np.abs(theta[pos] - target), pos - 1, pos)
-    partner = np.where(np.abs(theta[near] - target) <= 1e-12, near, -1)
-    groups = []
-    for j in np.flatnonzero(keep):
-        i = int(partner[j])
-        if i < 0 or i == j or not keep[i]:
-            groups.append((int(j), None))
-        elif i > j:  # i < j was emitted as (i, j)
-            groups.append((int(j), i))
+    groups = [(j, n - j) for j in range(1, (n + 1) // 2) if not limit[j]]
+    if n % 2 == 0:
+        groups.append((n // 2, None))
     return groups
 
 
@@ -211,9 +205,10 @@ def _transform_state_batch(
     states: np.ndarray,
     weights: np.ndarray,
     x_grid: UniformGrid,
-    theta_grid: UniformGrid,
+    theta_count: int = DEFAULT_THETA_COUNT,
 ) -> np.ndarray:
-    """Tomogram values for rho = sum_k weights[k] |psi_k><psi_k|.
+    """Tomogram values for rho = sum_k weights[k] |psi_k><psi_k| on the
+    lattice (x_grid, angle_grid(theta_count)).
 
     Per theta slice the inner chirped Fourier sum is evaluated on an
     FFT-upsampled position grid fine enough to resolve the phase
@@ -229,13 +224,14 @@ def _transform_state_batch(
     kernel exp(i a j^2/2), done by FFT (Bluestein's algorithm).  Dropping
     the m-only phases leaves |amp|^2 unchanged.
 
-    The slices theta and pi - theta share one pass: their frames (mu, nu)
-    and (-mu, nu) give the same fine count, step, a, X_c and kernel, and
-    the phase mu y^2/(2 nu) only changes sign.  So the partner rows take
+    The slices j and n - j, at theta and pi - theta, share one pass
+    (`_angle_pairs`): their frames (mu, nu) and (-mu, nu) give the same
+    fine count, step, a, X_c and kernel, and the phase mu y^2/(2 nu) only
+    changes sign.  So the partner rows take
     the same fine samples times the conjugate chirp, and both slices go
     through one batched FFT, kernel product and inverse FFT (CONVENTIONS.md
-    derives this from the conjugate-reversed kernel spectrum).  A slice
-    without a partner, theta = pi/2 included, runs alone.
+    derives this from the conjugate-reversed kernel spectrum).  The slice
+    pi/2, its own partner, runs alone.
     """
     X = x_grid.points
     n_x = x_grid.count
@@ -245,29 +241,28 @@ def _transform_state_batch(
     ymax = grid.reach
     xabs = x_grid.reach
     x_centre = X[n_x // 2]
-    theta = theta_grid.points
+    theta = angle_grid(theta_count).points
     mus, nus = np.cos(theta), np.sin(theta)
     limit = np.abs(nus) < EPS_THETA
-    out = np.empty((theta_grid.count, n_x))
+    out = np.empty((theta_count, n_x))
     spectrum = np.fft.fft(states, axis=1)  # shared by every slice's upsampling
-    if limit.any():
-        # nu -> 0 limit: w(X, mu, 0) = |psi(X/mu)|^2 / |mu|.  Spline an
-        # upsampled copy so the interpolation error stays far below the
-        # quadrature error of the oscillatory slices: 8 knots per sample,
-        # more where that leaves a step above LIMIT_SPLINE_STEP (an integer
-        # factor keeps the samples as knots)
-        factor = max(8, int(np.ceil(grid.step / LIMIT_SPLINE_STEP)))
-        n_fine = min(n_pos * factor, MAX_FINE)
-        fine_step = period / n_fine
-        fine = np.fft.ifft(padded_spectrum(spectrum, n_fine))
-        c = cubic_spline_coeffs(fine.T, fine_step)
-        del fine
-        splines = c.transpose(1, 0, 2)[None]  # (1, n_fine - 1, 4, n_states)
-        for j in np.flatnonzero(limit):
-            vals = eval_spline(splines, 0, X / mus[j], grid.lower, fine_step, grid.upper)
-            out[j] = (np.abs(vals) ** 2) @ weights / abs(mus[j])
-        del c, splines
-    for j, partner in _angle_pairs(theta, ~limit):
+    # nu -> 0 limit, slice 0 always among it: w(X, mu, 0) = |psi(X/mu)|^2
+    # / |mu|.  Spline an upsampled copy so the interpolation error stays far
+    # below the quadrature error of the oscillatory slices: 8 knots per
+    # sample, more where that leaves a step above LIMIT_SPLINE_STEP (an
+    # integer factor keeps the samples as knots)
+    factor = max(8, int(np.ceil(grid.step / LIMIT_SPLINE_STEP)))
+    n_fine = min(n_pos * factor, MAX_FINE)
+    fine_step = period / n_fine
+    fine = np.fft.ifft(padded_spectrum(spectrum, n_fine))
+    c = cubic_spline_coeffs(fine.T, fine_step)
+    del fine
+    splines = c.transpose(1, 0, 2)[None]  # (1, n_fine - 1, 4, n_states)
+    for j in np.flatnonzero(limit):
+        vals = eval_spline(splines, 0, X / mus[j], grid.lower, fine_step, grid.upper)
+        out[j] = (np.abs(vals) ** 2) @ weights / abs(mus[j])
+    del c, splines
+    for j, partner in _angle_pairs(theta_count, limit):
         mu, nu = mus[j], nus[j]
         n_y = fine_count(grid, (abs(mu) * ymax + xabs) / abs(nu))
         if n_y == n_pos:
@@ -313,7 +308,7 @@ def _normalize_slices(values: np.ndarray, x_step: float) -> np.ndarray:
 def tomogram_from_wavefunction(
     psi: WaveFunction,
     x_grid: UniformGrid | None = None,
-    theta_grid: UniformGrid | None = None,
+    theta_count: int = DEFAULT_THETA_COUNT,
 ) -> Tomogram:
     """Forward transform of a pure state.
 
@@ -321,10 +316,9 @@ def tomogram_from_wavefunction(
     / (2 pi |nu|), with the |psi(X/mu)|^2/|mu| limit near nu = 0.
     """
     x_grid = x_grid or DEFAULT_X_GRID
-    theta_grid = theta_grid or angle_grid()
-    vals = _transform_state_batch(psi.grid, psi.values[None, :], np.array([1.0]), x_grid, theta_grid)
+    vals = _transform_state_batch(psi.grid, psi.values[None, :], np.array([1.0]), x_grid, theta_count)
     vals = _normalize_slices(vals, x_grid.step)
-    return Tomogram(x_grid=x_grid, theta_grid=theta_grid, values=vals)
+    return Tomogram(x_grid=x_grid, theta_count=theta_count, values=vals)
 
 
 def spectral_components(rho: DensityMatrix):
@@ -363,7 +357,7 @@ def spectral_components(rho: DensityMatrix):
 def tomogram_from_density(
     rho: DensityMatrix,
     x_grid: UniformGrid | None = None,
-    theta_grid: UniformGrid | None = None,
+    theta_count: int = DEFAULT_THETA_COUNT,
 ) -> Tomogram:
     """Forward transform of a (possibly mixed) density matrix.
 
@@ -375,11 +369,10 @@ def tomogram_from_density(
     `weight_dropped`.
     """
     x_grid = x_grid or DEFAULT_X_GRID
-    theta_grid = theta_grid or angle_grid()
     states, weights, meta = spectral_components(rho)
-    vals = _transform_state_batch(rho.grid, states, weights, x_grid, theta_grid)
+    vals = _transform_state_batch(rho.grid, states, weights, x_grid, theta_count)
     vals = _normalize_slices(vals, x_grid.step)
-    return Tomogram(x_grid=x_grid, theta_grid=theta_grid, values=vals, meta=meta)
+    return Tomogram(x_grid=x_grid, theta_count=theta_count, values=vals, meta=meta)
 
 
 def tomogram_moments(tomo: Tomogram):
@@ -422,9 +415,10 @@ def _slice_characteristic(
     Q_j(-g) = conj Q_j(g).  One zero-padded real FFT per slice tabulates Q_j
     on a uniform lattice over half that period; each frame folds s into the
     half period and reads Q_j by 4-point cubic Lagrange interpolation (about
-    1e-9 against the dense sum).
+    1e-9 against the dense sum).  The padded coefficients are filled and
+    transformed a block of slices at a time, so only the table spans them all.
     """
-    n = tomo.theta_grid.count
+    n = tomo.theta_count
     count = tomo.x_grid.count
     pad = 1 << (16 * count - 1).bit_length()  # smallest power of two >= 16 count
     half = pad // 2
@@ -433,14 +427,16 @@ def _slice_characteristic(
     # any integer K_j is exact; the slice's mean sample keeps Q_j slowly varying
     mass = np.maximum(weighted.sum(axis=1), np.finfo(float).tiny)
     centre = np.rint(weighted @ k / mass).astype(int)
-    # sample k sits at index K_j - k, so the forward FFT (sign -) sums exp(+i g (u_k - u_K))
-    coeffs = np.zeros((n, pad))
-    coeffs[np.arange(n)[:, None], (centre[:, None] - k) % pad] = weighted
     # column c holds lattice point c - 1: the rfft half 0 ... pad/2, and by
     # Q(-g) = conj Q(g) and the period, the points -1, pad/2 + 1 and pad/2 + 2
     table = np.empty((n, half + 4), dtype=np.complex128)
-    np.fft.rfft(coeffs, axis=1, out=table[:, 1 : half + 2])
-    del coeffs
+    block = max(1, (1 << 17) // pad)  # slices a 1 MiB coefficient block holds
+    for lo in range(0, n, block):
+        w = weighted[lo : lo + block]
+        coeffs = np.zeros((len(w), pad))
+        # sample k sits at index K_j - k, so the forward FFT (sign -) sums exp(+i g (u_k - u_K))
+        coeffs[np.arange(len(w))[:, None], (centre[lo : lo + block, None] - k) % pad] = w
+        np.fft.rfft(coeffs, axis=1, out=table[lo : lo + block, 1 : half + 2])
     table[:, 0] = table[:, 2].conj()
     table[:, half + 2 :] = table[:, half : half - 2 : -1].conj()
     taps = np.lib.stride_tricks.sliding_window_view(table, 4, axis=1)  # [j, l] = points l - 1 ... l + 2

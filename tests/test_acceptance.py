@@ -33,7 +33,6 @@ from tomoprop.states import GaussianPacket, hermite_functions, make_state
 from tomoprop.tomography import (
     DEFAULT_THETA_COUNT,
     DEFAULT_X_GRID,
-    angle_grid,
     density_from_tomogram,
     optical_slice,
     tomogram_from_wavefunction,
@@ -42,8 +41,6 @@ from tomoprop.transport import (
     reduce_evolution_equation,
     solve_characteristics,
 )
-
-THETA = angle_grid(DEFAULT_THETA_COUNT)
 
 # evolved tomograms produced by criteria 3-5 and 9, checked for
 # slice-norm conservation by criterion 10
@@ -60,13 +57,13 @@ def report(criterion: str, measured: float, bound: float, extra: str = ""):
 
 @pytest.fixture(scope="module")
 def ground_tomo():
-    return tomogram_from_wavefunction(make_state("ho_ground"), DEFAULT_X_GRID, THETA)
+    return tomogram_from_wavefunction(make_state("ho_ground"), DEFAULT_X_GRID, DEFAULT_THETA_COUNT)
 
 
 @pytest.fixture(scope="module")
 def packet_tomo():
     psi = make_state(GaussianPacket(1.0, 0.5, 1.0))
-    return tomogram_from_wavefunction(psi, DEFAULT_X_GRID, THETA)
+    return tomogram_from_wavefunction(psi, DEFAULT_X_GRID, DEFAULT_THETA_COUNT)
 
 
 def _preset_target_values(name, x):
@@ -84,7 +81,7 @@ def test_criterion_1_roundtrip():
     worst = 0.0
     for name in ("ho:0", "ho:1", "gaussian:1,0.5,1"):
         psi = make_state(name)
-        tomo = tomogram_from_wavefunction(psi, DEFAULT_X_GRID, THETA)
+        tomo = tomogram_from_wavefunction(psi, DEFAULT_X_GRID, DEFAULT_THETA_COUNT)
         rho = density_from_tomogram(tomo, target)
         vals = _preset_target_values(name, x)
         expected = np.outer(vals, vals.conj())
@@ -129,7 +126,7 @@ def test_criterion_3_route_agreement(packet_tomo):
 def test_criterion_4_stationarity_and_period(ground_tomo):
     # lattice-aligned rotation angles (multiples of the theta step) so the
     # check isolates the evolution map from angular interpolation
-    dtheta = np.pi / ground_tomo.theta_grid.count
+    dtheta = np.pi / ground_tomo.theta_count
     pull_err = 0.0
     for t in (17 * dtheta, 90 * dtheta, 250 * dtheta):
         evolved = evolve_pullback(ground_tomo, OSCILLATOR, t)

@@ -125,6 +125,19 @@ def test_compare_failure_exits_3(tmp_path, capsys):
     assert payload["code"] == EXIT_TOLERANCE and "message" in payload and "context" in payload
 
 
+def test_compare_of_different_lattices_exits_2(tmp_path, capsys):
+    # both files hold 351 x 180 values, over X in [-14, 14] and [-10, 10]
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    assert run(["tomogram", "--state", "ho_ground", "-o", str(a)], capsys)[0] == EXIT_OK
+    assert run(["tomogram", "--state", "ho_ground", "--x-lower", "-10", "--x-upper", "10", "-o", str(b)], capsys)[0] == EXIT_OK
+    out = tmp_path / "c.json"
+    code, _, err = run(["compare", str(a), str(b), "-o", str(out)], capsys)
+    assert code == EXIT_INVALID
+    assert "must share a grid" in json.loads(err.strip())["message"]
+    assert not out.exists()
+
+
 def test_pullback_of_general_potential_matches_pde(tmp_path, capsys):
     outputs = {}
     for route in ("pullback", "pde"):

@@ -10,15 +10,15 @@ from tomoprop.errors import InvalidInputError
 from tomoprop.grids import UniformGrid
 from tomoprop.greens import GreenFunction
 from tomoprop.states import density_from_wavefunction, make_state
-from tomoprop.tomography import angle_grid, tomogram_from_wavefunction
+from tomoprop.tomography import tomogram_from_wavefunction
 
 X_GRID = UniformGrid(-8.0, 8.0, 81)
-THETA = angle_grid(24)
+THETA_COUNT = 24
 
 
 @pytest.fixture()
 def tomo():
-    return tomogram_from_wavefunction(make_state("ho_ground"), X_GRID, THETA)
+    return tomogram_from_wavefunction(make_state("ho_ground"), X_GRID, THETA_COUNT)
 
 
 def test_tomogram_roundtrip(tmp_path, tomo):
@@ -27,7 +27,7 @@ def test_tomogram_roundtrip(tmp_path, tomo):
     back = tio.read_tomogram(path)
     assert np.array_equal(back.values, tomo.values)
     assert back.x_grid == tomo.x_grid
-    assert back.theta_grid.count == tomo.theta_grid.count
+    assert back.theta_count == tomo.theta_count
     meta = json.loads(tio.meta_path_for(path).read_text())
     assert meta["state"] == "ho_ground"
     assert "convention_version" in meta
@@ -163,7 +163,7 @@ def test_read_rejects_foreign_theta_lattice(tmp_path, tomo):
     tio.write_tomogram(path, tomo)
 
     def half_circle(data):
-        data[:, 1] *= THETA.count / (THETA.count - 1)  # theta_j = pi j / (n - 1), ending on pi
+        data[:, 1] *= THETA_COUNT / (THETA_COUNT - 1)  # theta_j = pi j / (n - 1), ending on pi
         return data
 
     rewrite_rows(path, half_circle)

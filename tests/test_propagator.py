@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,27 +21,27 @@ from tomoprop.propagator import (
     kernel_fourier,
 )
 from tomoprop.states import GaussianPacket, evolve_wavefunction, make_state
-from tomoprop import tomography
-from tomoprop.tomography import angle_grid, density_from_tomogram, tomogram_from_wavefunction
+from tomoprop import propagator, tomography
+from tomoprop.tomography import density_from_tomogram, tomogram_from_wavefunction
 from tomoprop.transport import reduce_evolution_equation, solve_characteristics
 
 from kernel_oracle import kernel_fourier_2d
 
 X_GRID = UniformGrid(-12.0, 12.0, 241)
-THETA = angle_grid(96)
+THETA_COUNT = 96
 
 
 @pytest.fixture(scope="module")
 def packet_tomogram():
     psi = make_state(GaussianPacket(1.0, 0.5, 1.0))
-    return tomogram_from_wavefunction(psi, X_GRID, THETA)
+    return tomogram_from_wavefunction(psi, X_GRID, THETA_COUNT)
 
 
 def test_pullback_free_matches_schroedinger_evolution(packet_tomogram):
     t = 0.6
     psi = make_state(GaussianPacket(1.0, 0.5, 1.0))
     psi_t = evolve_wavefunction(psi, GreenFunction.free(), t)
-    reference = tomogram_from_wavefunction(psi_t, X_GRID, THETA)
+    reference = tomogram_from_wavefunction(psi_t, X_GRID, THETA_COUNT)
     evolved = evolve_pullback(packet_tomogram, FREE, t)
     assert compare_tomograms(evolved, reference).linf < 1e-3
 
@@ -48,7 +50,7 @@ def test_pullback_oscillator_matches_schroedinger_evolution(packet_tomogram):
     t = 0.7
     psi = make_state(GaussianPacket(1.0, 0.5, 1.0))
     psi_t = evolve_wavefunction(psi, GreenFunction.oscillator(), t)
-    reference = tomogram_from_wavefunction(psi_t, X_GRID, THETA)
+    reference = tomogram_from_wavefunction(psi_t, X_GRID, THETA_COUNT)
     evolved = evolve_pullback(packet_tomogram, OSCILLATOR, t)
     assert compare_tomograms(evolved, reference).linf < 1e-3
 
@@ -209,9 +211,49 @@ def test_kernel_sums_match_30_digit_evaluation():
 
 def test_compare_requires_matching_grids(packet_tomogram):
     psi = make_state("ho_ground")
-    other = tomogram_from_wavefunction(psi, UniformGrid(-8.0, 8.0, 101), angle_grid(48))
+    other = tomogram_from_wavefunction(psi, UniformGrid(-8.0, 8.0, 101), 48)
     with pytest.raises(InvalidInputError):
         compare_tomograms(packet_tomogram, other)
+    # equal shapes on different lattices are no match either
+    shifted = tomogram_from_wavefunction(psi, UniformGrid(-10.0, 14.0, X_GRID.count), THETA_COUNT)
+    assert shifted.values.shape == packet_tomogram.values.shape
+    with pytest.raises(InvalidInputError, match="must share a grid"):
+        compare_tomograms(packet_tomogram, shifted)
+
+
+def test_evolve_via_green_reaches_the_layers_the_benchmark_traces(packet_tomogram, monkeypatch):
+    # perfbench/spans.py rebinds these names in tomoprop.propagator and on
+    # GreenFunction, and reads these parameters and meta keys
+    calls = {"density": [], "forward": [], "green": 0}
+
+    def density(*args, **kwargs):
+        bound = inspect.signature(density_from_tomogram).bind(*args, **kwargs)
+        bound.apply_defaults()
+        result = density_from_tomogram(*args, **kwargs)
+        calls["density"].append((bound.arguments, result))
+        return result
+
+    def forward(*args, **kwargs):
+        result = tomography.tomogram_from_density(*args, **kwargs)
+        calls["forward"].append(result)
+        return result
+
+    green_call = GreenFunction.__call__
+
+    def call(self, *args, **kwargs):
+        calls["green"] += 1
+        return green_call(self, *args, **kwargs)
+
+    monkeypatch.setattr(propagator, "density_from_tomogram", density)
+    monkeypatch.setattr(propagator, "tomogram_from_density", forward)
+    monkeypatch.setattr(GreenFunction, "__call__", call)
+    evolve_via_green(packet_tomogram, GreenFunction.oscillator(), 0.7)
+    [(arguments, rho)] = calls["density"]
+    assert {"target_grid", "mu_step"} <= arguments.keys()
+    assert {"mu_band", "mu_edge_ratio"} <= rho.meta.keys()
+    [evolved] = calls["forward"]
+    assert "components" in evolved.meta
+    assert calls["green"] >= 1
 
 
 def test_green_route_carries_inverse_diagnostics(packet_tomogram):

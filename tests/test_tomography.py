@@ -32,19 +32,19 @@ from tomoprop.tomography import (
 )
 
 X_GRID = UniformGrid(-10.0, 10.0, 201)
-THETA = angle_grid(120)
+THETA_COUNT = 120
 
 
 @pytest.fixture(scope="module")
 def packet_tomogram():
     psi = make_state(GaussianPacket(1.0, 0.5, 1.0))
-    return tomogram_from_wavefunction(psi, X_GRID, THETA)
+    return tomogram_from_wavefunction(psi, X_GRID, THETA_COUNT)
 
 
 @pytest.fixture(scope="module")
 def ground_tomogram():
     psi = make_state("ho_ground")
-    return tomogram_from_wavefunction(psi, X_GRID, THETA)
+    return tomogram_from_wavefunction(psi, X_GRID, THETA_COUNT)
 
 
 def _packet_amplitude(y, x0=1.0, p0=0.5, sigma=1.0):
@@ -72,7 +72,7 @@ def test_ground_state_matches_closed_form(ground_tomogram):
 def test_packet_matches_independent_quadrature(packet_tomogram):
     # frames on the stored angle lattice so only the X interpolation enters
     for k in (20, 45, 100):
-        theta = THETA.points[k]
+        theta = angle_grid(THETA_COUNT).points[k]
         mu, nu = np.cos(theta), np.sin(theta)
         for X in (0.53, -1.2, 1.9):
             oracle = quadrature_transform(X, mu, nu)
@@ -81,7 +81,7 @@ def test_packet_matches_independent_quadrature(packet_tomogram):
 
 def test_limit_slice_is_scaled_position_density():
     psi = make_state(GaussianPacket(0.5, 0.0, 1.2))
-    tomo = tomogram_from_wavefunction(psi, X_GRID, THETA)
+    tomo = tomogram_from_wavefunction(psi, X_GRID, THETA_COUNT)
     mu = 1.0
     for X in (-1.0, 0.3, 1.5):
         u = X / mu
@@ -131,8 +131,8 @@ def test_slices_normalized_and_nonnegative(packet_tomogram):
 
 def test_pure_density_route_matches_wavefunction_route():
     psi = make_state("ho:1")
-    direct = tomogram_from_wavefunction(psi, X_GRID, THETA)
-    via_rho = tomogram_from_density(density_from_wavefunction(psi), X_GRID, THETA)
+    direct = tomogram_from_wavefunction(psi, X_GRID, THETA_COUNT)
+    via_rho = tomogram_from_density(density_from_wavefunction(psi), X_GRID, THETA_COUNT)
     assert np.abs(direct.values - via_rho.values).max() < 1e-8
 
 
@@ -140,7 +140,7 @@ def test_spectral_cut_records_kept_and_dropped_weight():
     psi0, psi1 = make_state("ho:0"), make_state("ho:1")
     values = 0.7 * np.outer(psi0.values, psi0.values.conj()) + 0.3 * np.outer(psi1.values, psi1.values.conj())
     rho = DensityMatrix(grid=psi0.grid, values=values + 1e-4 * np.eye(psi0.grid.count))
-    tomo = tomogram_from_density(rho, X_GRID, THETA)
+    tomo = tomogram_from_density(rho, X_GRID, THETA_COUNT)
     total = np.abs(np.linalg.eigvalsh(rho.values) * rho.grid.step).sum()
     assert tomo.meta["components"] == 16
     assert tomo.meta["weight_dropped"] > 1e-3
@@ -179,7 +179,7 @@ def test_tomogram_moments_of_a_squeezed_rotated_packet():
 
 
 def test_pure_projector_drops_no_weight():
-    tomo = tomogram_from_density(density_from_wavefunction(make_state("ho:0")), X_GRID, THETA)
+    tomo = tomogram_from_density(density_from_wavefunction(make_state("ho:0")), X_GRID, THETA_COUNT)
     assert tomo.meta["weight_kept"] == pytest.approx(1.0, abs=1e-12)
     assert tomo.meta["weight_dropped"] < 1e-12
 
@@ -193,15 +193,15 @@ def test_mixed_state_is_convex_combination():
     from tomoprop.states import DensityMatrix
 
     rho = DensityMatrix(grid=psi0.grid, values=rho_vals)
-    mixed = tomogram_from_density(rho, X_GRID, THETA)
-    t0 = tomogram_from_wavefunction(psi0, X_GRID, THETA)
-    t1 = tomogram_from_wavefunction(psi1, X_GRID, THETA)
+    mixed = tomogram_from_density(rho, X_GRID, THETA_COUNT)
+    t0 = tomogram_from_wavefunction(psi0, X_GRID, THETA_COUNT)
+    t1 = tomogram_from_wavefunction(psi1, X_GRID, THETA_COUNT)
     assert np.abs(mixed.values - 0.5 * (t0.values + t1.values)).max() < 1e-7
 
 
 def test_density_roundtrip_ground_state():
     psi = make_state("ho_ground")
-    tomo = tomogram_from_wavefunction(psi, DEFAULT_X_GRID, angle_grid(DEFAULT_THETA_COUNT))
+    tomo = tomogram_from_wavefunction(psi, DEFAULT_X_GRID, DEFAULT_THETA_COUNT)
     target = UniformGrid(-6.0, 6.0, 96)
     rho = density_from_tomogram(tomo, target)
     x = target.points
@@ -220,7 +220,7 @@ def test_optical_slice_parity_and_period(packet_tomogram):
 
 def test_tomogram_shape_validation():
     with pytest.raises(InvalidInputError):
-        Tomogram(x_grid=X_GRID, theta_grid=THETA, values=np.zeros((3, 3)))
+        Tomogram(x_grid=X_GRID, theta_count=THETA_COUNT, values=np.zeros((3, 3)))
 
 
 def test_theta_grid_convention():
@@ -229,14 +229,14 @@ def test_theta_grid_convention():
     assert g.points[-1] == pytest.approx(np.pi * 89 / 90)
 
 
-def _packet_tomogram_closed_form(x_grid, theta_grid, x0=1.0, p0=0.5, sigma=1.0):
+def _packet_tomogram_closed_form(x_grid, theta_count, x0=1.0, p0=0.5, sigma=1.0):
     """Exact packet tomogram: X = mu x + nu p is Gaussian with known moments."""
-    th = theta_grid.points[:, None]
+    th = angle_grid(theta_count).points[:, None]
     mu, nu = np.cos(th), np.sin(th)
     mean = mu * x0 + nu * p0
     var = 0.5 * (mu * sigma) ** 2 + 0.5 * (nu / sigma) ** 2
     values = np.exp(-((x_grid.points - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-    return Tomogram(x_grid=x_grid, theta_grid=theta_grid, values=values)
+    return Tomogram(x_grid=x_grid, theta_count=theta_count, values=values)
 
 
 def dense_slice_characteristic(tomo, mu, nu):
@@ -244,7 +244,7 @@ def dense_slice_characteristic(tomo, mu, nu):
     folded to the stored slices and blended linearly in theta."""
     u = tomo.x_grid.points
     weighted = tomo.values * trapezoid_weights(tomo.x_grid.count, tomo.x_grid.step)
-    n = tomo.theta_grid.count
+    n = tomo.theta_count
     s = np.hypot(mu, nu)
     theta = np.arctan2(nu, mu)
     tm = np.mod(theta, np.pi)
@@ -277,19 +277,19 @@ FAR_PACKET = (3.0, -2.0, 0.6)
 
 
 def _characteristic_tomogram(x_grid, kind):
-    theta_grid = angle_grid(DEFAULT_THETA_COUNT)
+    n = DEFAULT_THETA_COUNT
     if kind == "spiky":
         # five random samples per slice: Q_j stays O(1) up to its half period,
         # where the table's extension past pad/2 is read, and varies slowly
         rng = np.random.default_rng(3)
-        values = np.zeros((theta_grid.count, x_grid.count))
-        start = rng.integers(0, x_grid.count - 5, theta_grid.count)
+        values = np.zeros((n, x_grid.count))
+        start = rng.integers(0, x_grid.count - 5, n)
         for j, k in enumerate(start):
             values[j, k : k + 5] = rng.uniform(0.1, 1.0, 5)
         values /= integrate_samples(values, x_grid.step)[:, None]
-        return Tomogram(x_grid=x_grid, theta_grid=theta_grid, values=values)
+        return Tomogram(x_grid=x_grid, theta_count=n, values=values)
     packet = {"near": NEAR_PACKET, "far": FAR_PACKET}[kind]
-    return _packet_tomogram_closed_form(x_grid, theta_grid, *packet)
+    return _packet_tomogram_closed_form(x_grid, n, *packet)
 
 
 CHARACTERISTIC_X_GRIDS = pytest.mark.parametrize(
@@ -317,6 +317,22 @@ def test_slice_characteristic_is_conjugate_symmetric(x_grid, packet):
     mu, nu = _characteristic_frames()
     got = _slice_characteristic(tomo, mu, nu)
     assert np.abs(_slice_characteristic(tomo, -mu, -nu) - got.conj()).max() < 1e-12
+
+
+def test_slice_characteristic_table_build_stays_small():
+    # on 351 x 180 the table (180 slices of 4100 complex points) takes 11.8 MB;
+    # padding every slice's coefficients at once would add 11.8 MB more
+    import tracemalloc
+
+    tomo = _characteristic_tomogram(DEFAULT_X_GRID, "near")
+    mu, nu = np.linspace(-3.0, 3.0, 10), np.linspace(0.1, 2.0, 10)
+    tracemalloc.start()
+    try:
+        _slice_characteristic(tomo, mu, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def full_lattice_density(tomo, target_grid, mu_step=0.05):
@@ -360,7 +376,7 @@ NARROW_PACKET = (0.5, 0.3, 0.3)  # |K| at |mu| = 16 is 3e-3 of its peak, so the 
     ids=["work_grid", "even", "off_centre", "wide_band"],
 )
 def test_density_matches_full_lattice_oracle(packet, target):
-    tomo = _packet_tomogram_closed_form(DEFAULT_X_GRID, angle_grid(DEFAULT_THETA_COUNT), *packet)
+    tomo = _packet_tomogram_closed_form(DEFAULT_X_GRID, DEFAULT_THETA_COUNT, *packet)
     rho = density_from_tomogram(tomo, target)
     want, band, edge_ratio = full_lattice_density(tomo, target)
     assert np.abs(rho.values - want).max() < 1e-12
@@ -371,17 +387,21 @@ def test_density_matches_full_lattice_oracle(packet, target):
         assert rho.meta["mu_band"] > 16
 
 
-def dense_transform_batch(grid, states, weights, x_grid, theta_grid):
-    """The forward sum evaluated densely: per slice away from nu = 0,
-    sum_k step fine_k exp(i mu y_k^2/(2 nu) - i X y_k/nu) on the same
-    refined grid, squared and weighted as in `_transform_state_batch`."""
+def dense_transform_batch(grid, states, weights, x_grid, theta_count, rows=None):
+    """The forward sum evaluated densely on the slices `rows` of
+    angle_grid(theta_count), by default all but theta = 0 (the nu -> 0 limit
+    branch is not under test): sum_k step fine_k exp(i mu y_k^2/(2 nu)
+    - i X y_k/nu) on the same refined grid, squared and weighted as in
+    `_transform_state_batch`."""
+    rows = range(1, theta_count) if rows is None else rows
+    theta = angle_grid(theta_count).points
     X = x_grid.points
     ymax = max(abs(grid.lower), abs(grid.upper))
     xabs = max(abs(x_grid.lower), abs(x_grid.upper))
-    out = np.empty((theta_grid.count, x_grid.count))
-    for j, theta in enumerate(theta_grid.points):
-        mu, nu = np.cos(theta), np.sin(theta)
-        assert abs(nu) >= EPS_THETA  # the limit branch is not under test
+    out = np.empty((len(rows), x_grid.count))
+    for r, j in enumerate(rows):
+        mu, nu = np.cos(theta[j]), np.sin(theta[j])
+        assert abs(nu) >= EPS_THETA
         max_freq = (abs(mu) * ymax + xabs) / abs(nu)
         y, fine, step = refine_samples(grid, states, max_freq, axis=1)
         chirped = fine * np.exp(0.5j * mu * y**2 / nu) * step
@@ -389,12 +409,8 @@ def dense_transform_batch(grid, states, weights, x_grid, theta_grid):
         for lo in range(0, y.size, 1 << 13):
             hi = lo + (1 << 13)
             amp += chirped[:, lo:hi] @ np.exp(-1j * np.outer(y[lo:hi], X) / nu)
-        out[j] = weights @ (np.abs(amp) ** 2) / (2.0 * np.pi * abs(nu))
+        out[r] = weights @ (np.abs(amp) ** 2) / (2.0 * np.pi * abs(nu))
     return out
-
-
-# eight angles away from the nu -> 0 limit keep the dense sums cheap
-FEW_ANGLES = UniformGrid(0.3, 2.9, 8)
 
 
 @pytest.mark.parametrize(
@@ -408,72 +424,68 @@ FEW_ANGLES = UniformGrid(0.3, 2.9, 8)
     ids=["odd", "even", "off_centre_near", "off_centre_far"],
 )
 def test_forward_transform_matches_dense_sum(x_grid, spec):
+    # eight angles keep the dense sums cheap
     psi = make_state(spec)
     states, weights = psi.values[None, :], np.array([1.0])
-    got = _transform_state_batch(psi.grid, states, weights, x_grid, FEW_ANGLES)
-    want = dense_transform_batch(psi.grid, states, weights, x_grid, FEW_ANGLES)
-    assert np.abs(got - want).max() < 1e-10
+    got = _transform_state_batch(psi.grid, states, weights, x_grid, 8)
+    want = dense_transform_batch(psi.grid, states, weights, x_grid, 8)
+    assert np.abs(got[1:] - want).max() < 1e-10
 
 
-# theta and pi - theta pair up; the odd count adds pi/2, which is its own partner
-PAIRED_ANGLES = UniformGrid(0.3, np.pi - 0.3, 8)
-PAIRED_ANGLES_AND_HALF_PI = UniformGrid(0.3, np.pi - 0.3, 9)
 OFF_CENTRE_X_GRID = UniformGrid(-9.0, 13.0, 200)
 
 
+# slice j pairs with n - j; the even count adds pi/2, which is its own partner
 @pytest.mark.parametrize(
-    "x_grid, theta_grid",
+    "x_grid, theta_count",
     [
-        (DEFAULT_X_GRID, FEW_ANGLES),
-        (DEFAULT_X_GRID, PAIRED_ANGLES),
-        (DEFAULT_X_GRID, PAIRED_ANGLES_AND_HALF_PI),
-        (OFF_CENTRE_X_GRID, PAIRED_ANGLES),
-        (OFF_CENTRE_X_GRID, PAIRED_ANGLES_AND_HALF_PI),
+        (DEFAULT_X_GRID, 9),
+        (DEFAULT_X_GRID, 8),
+        (OFF_CENTRE_X_GRID, 9),
+        (OFF_CENTRE_X_GRID, 8),
     ],
-    ids=["unpaired", "paired", "paired_half_pi", "off_centre_paired", "off_centre_paired_half_pi"],
+    ids=["paired", "paired_half_pi", "off_centre_paired", "off_centre_paired_half_pi"],
 )
-def test_forward_transform_matches_dense_sum_for_signed_mixture(x_grid, theta_grid):
+def test_forward_transform_matches_dense_sum_for_signed_mixture(x_grid, theta_count):
     specs = ["ho:0", "ho:1", "ho:3", "gaussian:1,0.5,1", "gaussian:-2,1.5,0.8", "gaussian:3,-2,0.7"]
     grid = make_state("ho:0").grid
     states = np.array([make_state(spec, grid).values for spec in specs], dtype=np.complex128)
     before = states.copy()
     weights = np.array([0.4, 0.3, -0.05, 0.25, -0.02, 0.12])
-    got = _transform_state_batch(grid, states, weights, x_grid, theta_grid)
-    want = dense_transform_batch(grid, states, weights, x_grid, theta_grid)
-    assert np.abs(got - want).max() < 1e-10
+    got = _transform_state_batch(grid, states, weights, x_grid, theta_count)
+    want = dense_transform_batch(grid, states, weights, x_grid, theta_count)
+    assert np.abs(got[1:] - want).max() < 1e-10
     assert np.array_equal(states, before)  # the caller's states are never written
 
 
 def test_angle_pairs_cover_every_slice_once():
-    theta = angle_grid(180).points
-    groups = _angle_pairs(theta, np.ones(theta.size, dtype=bool))
-    pairs = [g for g in groups if g[1] is not None]
-    assert len(pairs) == 89 and all(i == 180 - j for j, i in pairs)
-    assert sorted(j for j, i in groups if i is None) == [0, 90]
-    assert sorted(k for g in groups for k in g if k is not None) == list(range(180))
-    # a partner outside the selection leaves its slice alone
-    keep = np.ones(theta.size, dtype=bool)
-    keep[170] = False
-    assert (10, None) in _angle_pairs(theta, keep)
-    # a grid without pi - theta partners runs every slice alone
-    assert all(i is None for _, i in _angle_pairs(FEW_ANGLES.points, np.ones(8, dtype=bool)))
+    # at 4000 angles slices 1 and 3999 join slice 0 in the nu -> 0 limit
+    for n, alone in ((180, [90]), (181, []), (4000, [2000])):
+        limit = np.abs(np.sin(angle_grid(n).points)) < EPS_THETA
+        groups = _angle_pairs(n, limit)
+        assert all(i == n - j for j, i in groups if i is not None)
+        assert [j for j, i in groups if i is None] == alone
+        paired = [k for g in groups for k in g if k is not None]
+        assert sorted(np.flatnonzero(limit).tolist() + paired) == list(range(n))
+    assert np.flatnonzero(limit).tolist() == [0, 1, 3999]
 
 
 def test_forward_transform_matches_dense_sum_near_nu_zero():
-    # theta = 0.002 just above eps_theta needs a fine grid of about 1.2e5 points
-    theta_grid = UniformGrid(0.002, 0.002 + 7 * np.pi / 8, 8)
+    # theta_1 = pi/1571 = 0.0019997 just above EPS_THETA needs a fine grid of about 1.2e5 points
+    n = 1571
+    rows = [1, 2, n - 2, n - 1]
     psi = make_state("gaussian:1,0.5,1")
     states, weights = psi.values[None, :], np.array([1.0])
-    got = _transform_state_batch(psi.grid, states, weights, DEFAULT_X_GRID, theta_grid)
-    want = dense_transform_batch(psi.grid, states, weights, DEFAULT_X_GRID, theta_grid)
-    assert np.abs(got - want).max() < 1e-10
+    got = _transform_state_batch(psi.grid, states, weights, DEFAULT_X_GRID, n)
+    want = dense_transform_batch(psi.grid, states, weights, DEFAULT_X_GRID, n, rows)
+    assert np.abs(got[rows] - want).max() < 1e-10
 
 
 def spline_evaluate(tomo, X, mu, nu):
     """Frame by frame: fold to theta in [0, pi), then one CubicSpline per
     stored slice, blended linearly between neighbouring slices."""
     x = tomo.x_grid.points
-    n = tomo.theta_grid.count
+    n = tomo.theta_count
     dtheta = np.pi / n
     rows = [CubicSpline(x, tomo.values[j]) for j in range(n)]
 

@@ -12,7 +12,7 @@ from tomoprop.greens import FREE, OSCILLATOR, GreenFunction, Potential
 from tomoprop.grids import UniformGrid
 from tomoprop.propagator import evolve_pullback
 from tomoprop.states import GaussianPacket, evolve_wavefunction, make_state
-from tomoprop.tomography import angle_grid, optical_slice, tomogram_from_wavefunction
+from tomoprop.tomography import optical_slice, tomogram_from_wavefunction
 from tomoprop.transport import (
     _expm,
     characteristic_flow,
@@ -21,7 +21,7 @@ from tomoprop.transport import (
 )
 
 X_GRID = UniformGrid(-12.0, 12.0, 241)
-THETA = angle_grid(96)
+THETA_COUNT = 96
 
 
 def symbolic_advection_coefficients(alpha, beta):
@@ -79,7 +79,7 @@ def test_characteristic_flow_oscillator_is_rotation():
 
 def test_solve_characteristics_matches_pullback():
     psi = make_state(GaussianPacket(1.0, 0.5, 1.0))
-    tomo = tomogram_from_wavefunction(psi, X_GRID, THETA)
+    tomo = tomogram_from_wavefunction(psi, X_GRID, THETA_COUNT)
     for potential, t in ((FREE, 0.7), (OSCILLATOR, 1.2)):
         pde = reduce_evolution_equation(potential)
         via_pde = solve_characteristics(pde, tomo, t)
@@ -127,7 +127,7 @@ def test_expm_matches_exact_exponential_over_long_times(alpha, beta, t):
 
 def test_evolve_optical_rotation():
     psi = make_state(GaussianPacket(1.0, 0.5, 1.0))
-    tomo = tomogram_from_wavefunction(psi, X_GRID, THETA)
+    tomo = tomogram_from_wavefunction(psi, X_GRID, THETA_COUNT)
     phi, t = 0.3, 0.9
     evolved = solve_characteristics(reduce_evolution_equation(OSCILLATOR), tomo, t)
     row = optical_slice(evolved, phi)
