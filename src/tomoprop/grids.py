@@ -108,17 +108,26 @@ def fft_upsample(values, count: int, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
+def fine_need(grid: UniformGrid, max_freq):
+    """The sample count over `grid`'s period that resolves phases up to
+    max_freq rad/unit, before rounding; works elementwise on arrays of rates."""
+    return grid.count * grid.step * max_freq * _OVERSAMPLE / (2.0 * np.pi)
+
+
 def fine_count(grid: UniformGrid, max_freq: float) -> int:
     """Samples over `grid`'s period whose step resolves phases up to max_freq rad/unit.
 
-    `grid.count` when that suffices, else the need rounded up by
-    `next_fast_len`, so every FFT of the fine samples has only the factors
-    2, 3, 5, 7 and 11.  A need above MAX_FINE (itself 11-smooth) raises
+    `grid.count` when that suffices, else the need (`fine_need`) rounded up
+    by `next_fast_len`, so every FFT of the fine samples has only the
+    factors 2, 3, 5, 7 and 11.  Either way it is the smallest count at or
+    above the need among `grid.count` and the 11-smooth counts above it, so
+    one need exceeds another's count exactly when its own count is the
+    larger.  A need above MAX_FINE (itself 11-smooth) raises
     NumericalDomainError naming the need: it is refused, never capped, so
     a caller can decide before allocating anything.
     """
     n = grid.count
-    needed = int(np.ceil(n * grid.step * max_freq * _OVERSAMPLE / (2.0 * np.pi)))
+    needed = int(np.ceil(fine_need(grid, max_freq)))
     if needed > MAX_FINE:
         raise NumericalDomainError(
             f"phase rate {max_freq:.3g} on [{grid.lower:.3g}, {grid.upper:.3g}] needs {needed} "
@@ -239,14 +248,12 @@ def eval_spline(table: np.ndarray, rows, q: np.ndarray, lower: float, step: floa
     """Values at q of stacked cubic splines on the knots lower + i * step; 0 outside [lower, upper].
 
     `table` holds m splines from cubic_spline_coeffs in segment-major
-    order, shape (m, n - 1, 4) + trailing, so one gather fetches a whole
-    cubic; q[k] is read from spline rows[k].  Returns q.shape + trailing.
+    order, shape (m, n - 1, 4), so one gather fetches a whole cubic; q[k]
+    (q one-dimensional) is read from spline rows[k].
     """
     n_seg = table.shape[1]
     seg = np.clip(np.floor((q - lower) / step), 0, n_seg - 1).astype(int)
-    c = table.reshape((-1,) + table.shape[2:])[rows * n_seg + seg]
+    c = table.reshape(-1, 4)[rows * n_seg + seg]
     t = q - (lower + seg * step)
-    t = t.reshape(t.shape + (1,) * (c.ndim - q.ndim - 1))
     out = ((c[:, 0] * t + c[:, 1]) * t + c[:, 2]) * t + c[:, 3]
-    inside = ((q >= lower) & (q <= upper)).reshape(t.shape)
-    return np.where(inside, out, 0.0)
+    return np.where((q >= lower) & (q <= upper), out, 0.0)

@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import InvalidFrameError, InvalidInputError
 from .grids import (
-    MAX_FINE,
     UniformGrid,
     cubic_spline_coeffs,
     eval_spline,
     fine_count,
+    fine_need,
     integrate_samples,
     next_fast_len,
     padded_spectrum,
@@ -27,14 +27,13 @@ from .grids import (
 )
 from .states import DensityMatrix, WaveFunction
 
-EPS_THETA = 1e-3  # below this |nu| a slice is the nu -> 0 limit
 MAX_COMPONENTS = 16  # spectral components kept by spectral_components
 WEIGHT_FLOOR = 1e-6  # smallest spectral weight kept
 NEGATIVE_WEIGHT_BOUND = 0.1  # largest total |negative spectral weight| a density matrix may carry
-LIMIT_SPLINE_STEP = 6e-3  # largest sample step of the nu -> 0 limit spline
 MU_BAND_START = 16.0  # first mu band of density_from_tomogram
 MU_BAND_MAX = 40.0  # the band doubles up to this
 MU_EDGE_THRESHOLD = 1e-8  # band edge / peak ratio that ends the doubling
+_BLOCK_BYTES = 1 << 20  # temporaries one block of _transform_state_batch may hold (_block_bytes)
 NEGATIVE_TOL = 1e-10  # most negative value a Tomogram accepts (and clips to 0)
 DEFAULT_X_GRID = UniformGrid(-14.0, 14.0, 351)
 DEFAULT_THETA_COUNT = 180
@@ -188,16 +187,76 @@ def _fold_frames(mu: np.ndarray, nu: np.ndarray, n: int):
 # --- forward transforms ------------------------------------------------------
 
 
-def _angle_pairs(n: int, limit: np.ndarray) -> list[tuple[int, int | None]]:
-    """The slices of angle_grid(n) outside the nu -> 0 `limit`, as (j, n - j),
-    theta_j and its partner pi - theta_j, then (n/2, None) for pi/2, its own
-    partner.  Slice 0 is always in the limit, and |sin theta| is the same
-    for j and n - j, so a pair is in or out as a whole.
+def _angle_pairs(n: int) -> list[tuple[int, int | None]]:
+    """The slices of angle_grid(n) as (j, n - j), theta_j and its partner
+    pi - theta_j, for 1 <= j < n/2, then (0, None) and, for even n,
+    (n/2, None): theta = 0 and pi/2 are their own partners.  |cos theta|
+    and sin theta are the same for j and n - j.
     """
-    groups = [(j, n - j) for j in range(1, (n + 1) // 2) if not limit[j]]
+    groups = [(j, n - j) for j in range(1, (n + 1) // 2)]
+    groups.append((0, None))
     if n % 2 == 0:
         groups.append((n // 2, None))
     return groups
+
+
+def _momentum_grid(grid: UniformGrid) -> UniformGrid:
+    """The DFT frequencies of `grid`'s samples, p_k = k 2 pi / (n h) for
+    k = -n//2 ... n - 1 - n//2: the momentum side's lattice, of period 2 pi / h."""
+    n = grid.count
+    dp = 2.0 * np.pi / (n * grid.step)
+    return UniformGrid(-(n // 2) * dp, (n - 1 - n // 2) * dp, n)
+
+
+def _slice_plan(grid: UniformGrid, x_grid: UniformGrid, theta_count: int, n_states: int):
+    """The blocks of `_transform_state_batch`, as (side, count, rows, kernels).
+
+    A unit of work is a pair of slices (j, n - j), or theta = 0 or pi/2
+    alone (`_angle_pairs`), read from the position samples, side 0, or
+    from the momentum samples, side 1, at the fine count that side needs.
+    Each unit takes the side whose fine count is smaller, the position
+    side on a tie; only the chosen side's count is checked against
+    MAX_FINE, so a refusal means both sides need more.  |cos theta| and
+    sin theta, and so both counts, are the same for j and n - j.  The
+    units, sorted by side and count, fill blocks while `_block_bytes` at
+    the block's largest count stays within _BLOCK_BYTES.  A block's `rows`
+    list the first slice of each unit, paired units first, then the
+    partners in the same order, so partner q shares kernel q; `kernels` is
+    the number of units.
+    """
+    theta = angle_grid(theta_count).points
+    groups = _angle_pairs(theta_count)
+    first = [j for j, _ in groups]
+    mu, nu = np.abs(np.cos(theta[first])), np.sin(theta[first])
+    p_grid = _momentum_grid(grid)
+    with np.errstate(divide="ignore"):  # nu = 0 (mu = 0) rules out the position (momentum) side
+        x_rate = (mu * grid.reach + x_grid.reach) / nu
+        p_rate = (nu * np.pi / grid.step + x_grid.reach) / mu
+    x_need, p_need = fine_need(grid, x_rate), fine_need(p_grid, p_rate)
+    units = []
+    for group, xr, pr, xn, pn in zip(groups, x_rate, p_rate, x_need, p_need):
+        # a fine count is the smallest allowed count at or above the need,
+        # so the position side's count exceeds p_count exactly when its need does
+        slices = tuple(k for k in group if k is not None)
+        if pn < xn and xn > (p_count := fine_count(p_grid, pr)):
+            units.append((1, p_count, slices))
+        else:
+            units.append((0, fine_count(grid, xr), slices))
+    units.sort(key=lambda u: u[:2])
+    blocks = []
+    lo = 0
+    while lo < len(units):
+        hi, rows = lo + 1, len(units[lo][2])
+        while hi < len(units) and units[hi][0] == units[lo][0]:
+            rows += len(units[hi][2])
+            if _block_bytes(rows, hi + 1 - lo, units[hi][1], n_states, x_grid.count) > _BLOCK_BYTES:
+                break
+            hi += 1
+        block = sorted(units[lo:hi], key=lambda u: -len(u[2]))
+        rows = [u[2][0] for u in block] + [u[2][1] for u in block if len(u[2]) == 2]
+        blocks.append((*units[hi - 1][:2], rows, len(block)))
+        lo = hi
+    return blocks
 
 
 def _transform_state_batch(
@@ -210,91 +269,133 @@ def _transform_state_batch(
     """Tomogram values for rho = sum_k weights[k] |psi_k><psi_k| on the
     lattice (x_grid, angle_grid(theta_count)).
 
-    Per theta slice the inner chirped Fourier sum is evaluated on an
-    FFT-upsampled position grid fine enough to resolve the phase
-    mu y^2/(2 nu) - X y/nu; accuracy target 1e-6 against a 4x-resolution
-    reference.  The states' spectrum is taken once; each slice zero-pads it
-    to its own fine count (`grids.padded_spectrum`).
+    Every slice is one sum w(X, mu', nu') = |sum_k dy s(y_k) exp(i mu' y_k^2
+    / (2 nu') - i X y_k / nu')|^2 / (2 pi |nu'|) over uniform samples s,
+    read from one of two sides (CONVENTIONS.md):
 
-    The sum over the uniform fine grid y_k = y_c + k dy at the uniform
-    X_m = X_c + m dX (k, m centred integer offsets) is a chirp-z transform:
-    with a = dX dy / nu, exp(-i X_m y_k / nu) equals exp(-i X_c y_k / nu)
-    exp(-i a m^2/2) exp(-i a k^2/2) exp(+i a (m - k)^2/2) times a phase in
-    m alone, so |amp_m| is the modulus of one linear convolution with the
-    kernel exp(i a j^2/2), done by FFT (Bluestein's algorithm).  Dropping
-    the m-only phases leaves |amp|^2 unchanged.
+    - position: s = psi FFT-upsampled over its grid's period, frame
+      (mu', nu') = (mu, nu), phase rate (|mu| y_reach + X_reach) / |nu|;
+    - momentum: s = psi~(p_k) = h / sqrt(2 pi) exp(-i p_k x_lower)
+      FFT_N(psi zero-padded to N)[k mod N] on p_k = k 2 pi / (N h),
+      k = -N/2 ... N/2 - 1, frame (nu, -mu), since the Fourier transform
+      maps the quadrature mu x + nu p to nu x - mu p; phase rate
+      (|nu| pi / h + X_reach) / |mu| over the period 2 pi / h.
 
-    The slices j and n - j, at theta and pi - theta, share one pass
-    (`_angle_pairs`): their frames (mu, nu) and (-mu, nu) give the same
-    fine count, step, a, X_c and kernel, and the phase mu y^2/(2 nu) only
-    changes sign.  So the partner rows take
-    the same fine samples times the conjugate chirp, and both slices go
-    through one batched FFT, kernel product and inverse FFT (CONVENTIONS.md
-    derives this from the conjugate-reversed kernel spectrum).  The slice
-    pi/2, its own partner, runs alone.
+    Each slice takes the side that needs fewer fine samples (`_slice_plan`),
+    so theta = 0 is read from the momentum side and no slice needs a limit
+    form.  The sum at the uniform X_m = X_c + m dX is a chirp-z transform:
+    with a = dX dy / nu' and k, m centred integer offsets, exp(-i X_m y_k
+    / nu') equals exp(-i X_c y_k / nu') exp(-i a k^2/2) exp(+i a (m - k)^2/2)
+    times a phase in m alone, so |amp_m| is the modulus of one linear
+    convolution with the kernel exp(i a j^2/2), done by FFT (Bluestein's
+    algorithm).  The slices theta and pi - theta share a kernel: on the
+    position side their frames are (mu, nu) and (-mu, nu), and the partner
+    takes the conjugate chirp; on the momentum side they are (mu', nu') and
+    (mu', -nu'), and the partner sums conj(psi~) at (mu', nu'), whose
+    modulus is the same.
+
+    The units of work are sorted by side and fine count and run in blocks
+    whose temporaries stay within _BLOCK_BYTES: a block takes its fine
+    samples once, at its largest count, and runs one batched kernel FFT and
+    one batched FFT, kernel product and inverse FFT.
     """
-    X = x_grid.points
-    n_x = x_grid.count
-    n_pos = grid.count
-    n_states = states.shape[0]
-    period = n_pos * grid.step
-    ymax = grid.reach
-    xabs = x_grid.reach
-    x_centre = X[n_x // 2]
+    blocks = _slice_plan(grid, x_grid, theta_count, states.shape[0])  # refuses before allocating
     theta = angle_grid(theta_count).points
-    mus, nus = np.cos(theta), np.sin(theta)
-    limit = np.abs(nus) < EPS_THETA
-    out = np.empty((theta_count, n_x))
-    spectrum = np.fft.fft(states, axis=1)  # shared by every slice's upsampling
-    # nu -> 0 limit, slice 0 always among it: w(X, mu, 0) = |psi(X/mu)|^2
-    # / |mu|.  Spline an upsampled copy so the interpolation error stays far
-    # below the quadrature error of the oscillatory slices: 8 knots per
-    # sample, more where that leaves a step above LIMIT_SPLINE_STEP (an
-    # integer factor keeps the samples as knots)
-    factor = max(8, int(np.ceil(grid.step / LIMIT_SPLINE_STEP)))
-    n_fine = min(n_pos * factor, MAX_FINE)
-    fine_step = period / n_fine
-    fine = np.fft.ifft(padded_spectrum(spectrum, n_fine))
-    c = cubic_spline_coeffs(fine.T, fine_step)
-    del fine
-    splines = c.transpose(1, 0, 2)[None]  # (1, n_fine - 1, 4, n_states)
-    for j in np.flatnonzero(limit):
-        vals = eval_spline(splines, 0, X / mus[j], grid.lower, fine_step, grid.upper)
-        out[j] = (np.abs(vals) ** 2) @ weights / abs(mus[j])
-    del c, splines
-    for j, partner in _angle_pairs(theta_count, limit):
-        mu, nu = mus[j], nus[j]
-        n_y = fine_count(grid, (abs(mu) * ymax + xabs) / abs(nu))
-        if n_y == n_pos:
-            y, fine, step = grid.points, states, grid.step
+    cos, sin = np.cos(theta), np.sin(theta)
+    spectrum = np.fft.fft(states, axis=1)  # shared by every block
+    out = np.empty((theta_count, x_grid.count))
+    for side, count, rows, kernels in blocks:
+        pairs = len(rows) - kernels
+        if side == 0:
+            y, step, samples = _position_samples(grid, states, spectrum, count)
+            partner_samples = samples
+            mu, nu = cos[rows], sin[rows]
+            mu[kernels:], nu[kernels:] = -mu[:pairs], nu[:pairs]  # exactly (-mu, nu)
         else:
-            step = period / n_y
-            y = grid.lower + step * np.arange(n_y)
-            fine = np.fft.ifft(padded_spectrum(spectrum, n_y))
-        size = next_fast_len(n_y + n_x - 1)
-        a = x_grid.step * step / nu
-        k = np.arange(n_y) - n_y // 2
-        # sample k sits at index k + n_y // 2 and kernel j = m - k at index
-        # j + lag, so output m lands at index m + n_x // 2 + n_y - 1
-        lag = n_y - 1 - n_y // 2 + n_x // 2
-        j_kernel = np.arange(n_y + n_x - 1) - lag
-        kernel = np.fft.fft(np.exp(0.5j * a * j_kernel**2), size)  # shared by all states
-        chirp = np.exp(0.5j * mu * y**2 / nu)
-        shift = step * np.exp(-1j * (x_centre * y / nu + 0.5 * a * k**2))
-        slices = [j] if partner is None else [j, partner]
-        # writing into the padded buffer leaves the caller's states untouched
-        buf = np.zeros((len(slices), n_states, size), dtype=np.complex128)
-        np.multiply(fine, chirp * shift, out=buf[0, :, :n_y])
-        if partner is not None:  # (-mu, nu): the same sum with the chirp conjugated
-            np.multiply(fine, chirp.conj() * shift, out=buf[1, :, :n_y])
-        del fine
-        np.fft.fft(buf, axis=2, out=buf)
-        buf *= kernel
-        np.fft.ifft(buf, axis=2, out=buf)
-        power = np.abs(buf[:, :, n_y - 1:n_y - 1 + n_x]) ** 2
-        del buf  # free before the next pair upsamples
-        out[slices] = weights @ power / (2.0 * np.pi * abs(nu))
+            y, step, samples = _momentum_samples(grid, states, spectrum, count)
+            partner_samples = samples.conj()
+            mu, nu = sin[rows], -cos[rows]
+            mu[kernels:], nu[kernels:] = mu[:pairs], nu[:pairs]  # (mu', -nu') is conj(psi~) at (mu', nu')
+        power = _chirp_z_power(samples, partner_samples, y, step, mu, nu, kernels, x_grid)
+        out[rows] = weights @ power / (2.0 * np.pi * np.abs(nu))[:, None]
     return out
+
+
+def _block_bytes(rows: int, kernels: int, count: int, n_states: int, n_x: int) -> int:
+    """Bytes of a block's temporaries: fine samples, the partners' samples and
+    the spectrum they come from, the padded buffer, the kernels before and
+    after their FFT, the phase argument, chirp and shift per row, and the power."""
+    size = count + n_x - 1  # within a few per cent of its next_fast_len
+    return 16 * (
+        3 * n_states * count
+        + rows * n_states * size
+        + 2 * kernels * size
+        + 3 * rows * count
+        + rows * n_states * n_x
+    )
+
+
+def _position_samples(grid: UniformGrid, states: np.ndarray, spectrum: np.ndarray, count: int):
+    """psi FFT-upsampled to `count` samples over its grid's period: (y, dy, samples)."""
+    if count == grid.count:
+        return grid.points, grid.step, states
+    step = grid.count * grid.step / count
+    return grid.lower + step * np.arange(count), step, np.fft.ifft(padded_spectrum(spectrum, count))
+
+
+def _momentum_samples(grid: UniformGrid, states: np.ndarray, spectrum: np.ndarray, count: int):
+    """psi~ on `count` momenta p_k = k 2 pi / (count h), k = -count//2 ...: (p, dp, samples)."""
+    h = grid.step
+    step = 2.0 * np.pi / (count * h)
+    p = step * (np.arange(count) - count // 2)
+    dft = spectrum if count == grid.count else np.fft.fft(states, count, axis=1)
+    phase = (h / np.sqrt(2.0 * np.pi)) * np.exp(-1j * grid.lower * p)
+    return p, step, np.fft.fftshift(dft, axes=1) * phase
+
+
+def _chirp_z_power(
+    samples: np.ndarray,
+    partner_samples: np.ndarray,
+    y: np.ndarray,
+    step: float,
+    mu: np.ndarray,
+    nu: np.ndarray,
+    kernels: int,
+    x_grid: UniformGrid,
+) -> np.ndarray:
+    """|sum_k step s[k] exp(i mu_r y_k^2/(2 nu_r) - i X y_k/nu_r)|^2 for every
+    row r and state on the X lattice, shape (rows, n_states, n_x).
+
+    Rows r < `kernels` sum `samples` with kernel r; the rows past them are
+    partners, which sum `partner_samples` and share the kernel of row
+    r - kernels, so their nu must equal its nu.
+    """
+    n_y = y.size
+    n_x = x_grid.count
+    size = next_fast_len(n_y + n_x - 1)
+    a = x_grid.step * step / nu
+    k = np.arange(n_y) - n_y // 2
+    # sample k sits at index k + n_y // 2 and kernel j = m - k at index
+    # j + lag, so output m lands at index m + n_x // 2 + n_y - 1
+    lag = n_y - 1 - n_y // 2 + n_x // 2
+    j_kernel = np.arange(n_y + n_x - 1) - lag
+    kernel = np.fft.fft(np.exp(0.5j * np.multiply.outer(a[:kernels], j_kernel**2)), size, axis=1)
+    x_centre = x_grid.points[n_x // 2]
+    arg = np.multiply.outer(0.5 * mu / nu, y**2)
+    arg -= np.multiply.outer(x_centre / nu, y)
+    arg -= np.multiply.outer(0.5 * a, k**2)
+    phase = step * np.exp(1j * arg)  # chirp times shift
+    del arg
+    # writing into the padded buffer leaves the caller's states untouched
+    buf = np.zeros((mu.size, samples.shape[0], size), dtype=np.complex128)
+    np.multiply(samples, phase[:kernels, None, :], out=buf[:kernels, :, :n_y])
+    np.multiply(partner_samples, phase[kernels:, None, :], out=buf[kernels:, :, :n_y])
+    del phase
+    np.fft.fft(buf, axis=2, out=buf)
+    buf[:kernels] *= kernel[:, None, :]
+    buf[kernels:] *= kernel[: mu.size - kernels, None, :]
+    np.fft.ifft(buf, axis=2, out=buf)
+    return np.abs(buf[:, :, n_y - 1 : n_y - 1 + n_x]) ** 2
 
 
 def _normalize_slices(values: np.ndarray, x_step: float) -> np.ndarray:
@@ -313,7 +414,8 @@ def tomogram_from_wavefunction(
     """Forward transform of a pure state.
 
     w(X, cos t, sin t) = |int psi(y) exp(i mu y^2/(2 nu) - i X y/nu) dy|^2
-    / (2 pi |nu|), with the |psi(X/mu)|^2/|mu| limit near nu = 0.
+    / (2 pi |nu|), each slice read from the position or the momentum
+    samples, whichever needs fewer (`_transform_state_batch`).
     """
     x_grid = x_grid or DEFAULT_X_GRID
     vals = _transform_state_batch(psi.grid, psi.values[None, :], np.array([1.0]), x_grid, theta_count)
@@ -446,7 +548,7 @@ def _slice_characteristic(
     mu = mu.ravel()
     nu = nu.ravel()
     out = np.empty(mu.size, dtype=np.complex128)
-    chunk = 1 << 16
+    chunk = 1 << 13  # as in Tomogram.evaluate: the per-frame temporaries stay small
     for lo in range(0, mu.size, chunk):
         hi = min(lo + chunk, mu.size)
         s = np.hypot(mu[lo:hi], nu[lo:hi])

@@ -205,6 +205,21 @@ def test_green_route_near_a_caustic_exits_4_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists()
 
 
+def test_tomogram_on_a_wide_position_grid(tmp_path, capsys):
+    # read from the position samples alone, the oscillatory slices of this
+    # grid needed 46239548 fine samples and the command exited 4; the
+    # momentum samples need at most the grid's own 4096
+    out = tmp_path / "wide.csv"
+    argv = ["tomogram", "--state", "ho_ground", "--pos-lower", "-1000", "--pos-upper", "1000",
+            "--pos-count", "4096", "-o", str(out)]
+    assert run(argv, capsys)[0] == EXIT_OK
+    tomo = tio.read_tomogram(out)
+    X = tomo.x_grid.points
+    # every slice of the oscillator's ground state is exp(-X^2)/sqrt(pi);
+    # the state's step 0.49 limits it to 2.8e-10
+    assert np.abs(tomo.values - np.exp(-(X**2)) / np.sqrt(np.pi)).max() < 1e-9
+
+
 def test_overflowing_kernel_exits_4(tmp_path, capsys):
     # k^2 = 1e400 overflows a double
     code, _, err = run(["kernel", "--t", "1", "--k", "1e200", "-o", str(tmp_path / "s.csv")], capsys)
@@ -438,13 +453,14 @@ def test_small_negative_file_values_read_as_zero(tmp_path, capsys, value, code):
     good, spoilt = tmp_path / "good.csv", tmp_path / "spoilt.csv"
     assert run(["tomogram", "--state", "ho_ground", "-o", str(good)] + FAST, capsys)[0] == EXIT_OK
     lines = good.read_text().splitlines()
-    lines[1] = ",".join(lines[1].split(",")[:2] + [value])  # X = -14 at theta = 0, where w is ~1e-86
+    lines[1] = ",".join(lines[1].split(",")[:2] + [value])  # X = -14 at theta = 0, where w is ~1e-33
     spoilt.write_text("\n".join(lines) + "\n")
     result, out, err = run(["compare", str(good), str(spoilt)], capsys)
     assert result == code
     if code == EXIT_OK:
-        assert json.loads(out.strip())["linf"] < 1e-80
+        # the spoilt value reads as 0, so the only difference is the good value there
         assert tio.read_tomogram(spoilt).values[0, 0] == 0.0
+        assert json.loads(out.strip())["linf"] == tio.read_tomogram(good).values[0, 0]
     else:
         assert "negative" in json.loads(err.strip())["message"]
 
@@ -462,8 +478,8 @@ def assert_not_an_option(tmp_path, capsys, flag, key, value):
 
 
 def test_eps_theta_is_not_an_option(tmp_path, capsys):
-    # the nu -> 0 switch is the fixed tomography.EPS_THETA; neither a flag nor
-    # a config key may be accepted and then ignored
+    # the transform has no nu -> 0 switch; neither a flag nor a config key
+    # may be accepted and then ignored
     assert_not_an_option(tmp_path, capsys, "--eps-theta", "eps_theta", 0.2)
 
 

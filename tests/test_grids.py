@@ -192,10 +192,6 @@ def test_eval_spline_matches_ppoly_and_vanishes_outside():
     rows = rng.integers(0, 3, q.size)
     got = eval_spline(np.ascontiguousarray(coeffs.transpose(2, 1, 0)), rows, q, x[0], grid.step, x[-1])
     assert np.abs(got - expected[np.arange(q.size), rows]).max() < 1e-15
-    # one spline with trailing columns
-    got = eval_spline(coeffs.transpose(1, 0, 2)[None], 0, q, x[0], grid.step, x[-1])
-    assert got.shape == (q.size, 3)
-    assert np.abs(got - expected).max() < 1e-15
     assert not got[~inside].any()
 
 

@@ -314,6 +314,21 @@ def test_reconstructed_packet_keeps_two_components(default_packet_tomogram):
     assert evolved.meta["weight_kept"] == pytest.approx(1.0, abs=1e-4)
 
 
+def test_green_route_peak_memory(default_packet_tomogram):
+    # the inverse's table takes 11.8 MB; reading frames in chunks of 1 << 16
+    # added 2.8 MB of per-frame temporaries on top of it (17.8 MB in all)
+    import tracemalloc
+
+    green = GreenFunction.oscillator()
+    tracemalloc.start()
+    try:
+        evolve_via_green(default_packet_tomogram, green, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_green_route_grids_follow_the_flowed_moments(default_packet_tomogram):
     # free motion for t = 3 carries <x> from 1 to 2.5 and sd_x from 0.71 to 2.2
     evolved = evolve_via_green(default_packet_tomogram, GreenFunction.free(), 3.0)

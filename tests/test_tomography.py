@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
-from tomoprop.errors import InvalidFrameError, InvalidInputError
+from tomoprop.errors import InvalidFrameError, InvalidInputError, NumericalDomainError
 from tomoprop.grids import UniformGrid, integrate_samples, refine_samples, trapezoid_weights
 from tomoprop.states import (
     DensityMatrix,
@@ -15,13 +15,15 @@ from tomoprop.states import (
 from tomoprop.tomography import (
     DEFAULT_THETA_COUNT,
     DEFAULT_X_GRID,
-    EPS_THETA,
     MU_BAND_MAX,
     MU_BAND_START,
     MU_EDGE_THRESHOLD,
     Tomogram,
+    _BLOCK_BYTES,
     _angle_pairs,
+    _block_bytes,
     _slice_characteristic,
+    _slice_plan,
     _transform_state_batch,
     angle_grid,
     density_from_tomogram,
@@ -388,11 +390,13 @@ def test_density_matches_full_lattice_oracle(packet, target):
 
 
 def dense_transform_batch(grid, states, weights, x_grid, theta_count, rows=None):
-    """The forward sum evaluated densely on the slices `rows` of
-    angle_grid(theta_count), by default all but theta = 0 (the nu -> 0 limit
-    branch is not under test): sum_k step fine_k exp(i mu y_k^2/(2 nu)
-    - i X y_k/nu) on the same refined grid, squared and weighted as in
-    `_transform_state_batch`."""
+    """The forward sum evaluated densely from the position samples on the
+    slices `rows` of angle_grid(theta_count), by default every slice but
+    theta = 0, where nu = 0 leaves the position-side sum undefined: sum_k
+    step fine_k exp(i mu y_k^2/(2 nu) - i X y_k/nu) on a grid refined to the
+    position side's phase rate, squared and weighted as in
+    `_transform_state_batch`.  Slices that the transform reads from the
+    momentum samples are checked against an independent sum."""
     rows = range(1, theta_count) if rows is None else rows
     theta = angle_grid(theta_count).points
     X = x_grid.points
@@ -401,7 +405,6 @@ def dense_transform_batch(grid, states, weights, x_grid, theta_count, rows=None)
     out = np.empty((len(rows), x_grid.count))
     for r, j in enumerate(rows):
         mu, nu = np.cos(theta[j]), np.sin(theta[j])
-        assert abs(nu) >= EPS_THETA
         max_freq = (abs(mu) * ymax + xabs) / abs(nu)
         y, fine, step = refine_samples(grid, states, max_freq, axis=1)
         chirped = fine * np.exp(0.5j * mu * y**2 / nu) * step
@@ -459,19 +462,44 @@ def test_forward_transform_matches_dense_sum_for_signed_mixture(x_grid, theta_co
 
 
 def test_angle_pairs_cover_every_slice_once():
-    # at 4000 angles slices 1 and 3999 join slice 0 in the nu -> 0 limit
-    for n, alone in ((180, [90]), (181, []), (4000, [2000])):
-        limit = np.abs(np.sin(angle_grid(n).points)) < EPS_THETA
-        groups = _angle_pairs(n, limit)
+    # theta = 0 and pi/2 are their own partners
+    for n, alone in ((180, [0, 90]), (181, [0]), (4000, [0, 2000])):
+        groups = _angle_pairs(n)
         assert all(i == n - j for j, i in groups if i is not None)
         assert [j for j, i in groups if i is None] == alone
-        paired = [k for g in groups for k in g if k is not None]
-        assert sorted(np.flatnonzero(limit).tolist() + paired) == list(range(n))
-    assert np.flatnonzero(limit).tolist() == [0, 1, 3999]
+        assert sorted(k for g in groups for k in g if k is not None) == list(range(n))
+
+
+@pytest.mark.parametrize("theta_count", [180, 9])
+@pytest.mark.parametrize("spec_grid", [None, UniformGrid(-6.0, 8.0, 39), UniformGrid(-1000.0, 1000.0, 4096)])
+def test_slice_plan_reads_every_slice_once_within_the_block_budget(spec_grid, theta_count):
+    grid = spec_grid or make_state("ho_ground").grid
+    blocks = _slice_plan(grid, DEFAULT_X_GRID, theta_count, 2)
+    rows = [j for _, _, block_rows, _ in blocks for j in block_rows]
+    assert sorted(rows) == list(range(theta_count))
+    side = {j: s for s, _, block_rows, _ in blocks for j in block_rows}
+    assert side[0] == 1  # nu = 0: only the momentum samples read theta = 0
+    if theta_count % 2 == 0:
+        assert side[theta_count // 2] == 0  # mu = 0: only the position samples read pi/2
+    for s, count, block_rows, kernels in blocks:
+        partners = block_rows[kernels:]
+        # partner q pairs with row q: theta and pi - theta
+        assert all(j + i == theta_count for j, i in zip(block_rows, partners))
+        assert count >= grid.count
+        assert kernels == 1 or _block_bytes(len(block_rows), kernels, count, 2, DEFAULT_X_GRID.count) <= _BLOCK_BYTES
+
+
+def test_forward_transform_refuses_only_when_both_sides_exceed_max_fine():
+    # h = 0.005 over [-600, 600]: slice 39 needs 364395 fine samples from the
+    # position samples and 263409 from the momentum samples over [-pi/h, pi/h],
+    # both past MAX_FINE = 262144; the refusal names the smaller need
+    with pytest.raises(NumericalDomainError, match=r"on \[-628, 628\] needs 263409 fine samples"):
+        _slice_plan(UniformGrid(-600.0, 600.0, 240001), DEFAULT_X_GRID, DEFAULT_THETA_COUNT, 1)
 
 
 def test_forward_transform_matches_dense_sum_near_nu_zero():
-    # theta_1 = pi/1571 = 0.0019997 just above EPS_THETA needs a fine grid of about 1.2e5 points
+    # theta_1 = pi/1571 = 0.0019997: the dense position-side sum needs a fine
+    # grid of about 1.2e5 points there, where the transform reads the momentum side
     n = 1571
     rows = [1, 2, n - 2, n - 1]
     psi = make_state("gaussian:1,0.5,1")
@@ -479,6 +507,62 @@ def test_forward_transform_matches_dense_sum_near_nu_zero():
     got = _transform_state_batch(psi.grid, states, weights, DEFAULT_X_GRID, n)
     want = dense_transform_batch(psi.grid, states, weights, DEFAULT_X_GRID, n, rows)
     assert np.abs(got[rows] - want).max() < 1e-10
+
+
+def gaussian_tomogram(x0, p0, sigma, X, theta_count):
+    """Closed form for GaussianPacket(x0, p0, sigma): the quadrature mu x + nu p
+    is normal with mean mu x0 + nu p0 and variance mu^2 sigma^2/2 + nu^2/(2 sigma^2)."""
+    theta = angle_grid(theta_count).points
+    mu, nu = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    var = 0.5 * (mu * sigma) ** 2 + 0.5 * (nu / sigma) ** 2
+    return np.exp(-((X - mu * x0 - nu * p0) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+
+
+@pytest.mark.parametrize("spec", ["gaussian:1,0.5,1", "gaussian:3,-2,0.7", "gaussian:0,0,0.3"])
+@pytest.mark.parametrize("grid_kind", ["cli", "moment"])
+def test_forward_transform_matches_closed_form_on_every_slice(spec, grid_kind):
+    # theta = 0 included: it reads 8e-15 (cli) and 7e-13 (moment) at most; the
+    # nu -> 0 limit spline it replaced read up to 3.0e-9 there
+    from tomoprop.propagator import moment_grid
+
+    x0, p0, sigma = (float(v) for v in spec.split(":")[1].split(","))
+    grid = None
+    if grid_kind == "moment":  # the Green route's grid for the packet's own moments
+        grid = moment_grid(np.array([x0, p0]), np.diag([0.5 * sigma**2, 0.5 / sigma**2]))
+    psi = make_state(spec, grid)
+    got = _transform_state_batch(psi.grid, psi.values[None, :], np.array([1.0]), DEFAULT_X_GRID, DEFAULT_THETA_COUNT)
+    want = gaussian_tomogram(x0, p0, sigma, DEFAULT_X_GRID.points, DEFAULT_THETA_COUNT)
+    assert np.abs(got - want).max() < 1e-11
+
+
+def test_forward_transform_keeps_its_ffts_short():
+    # the Green route's output grid for the benchmark packet under
+    # alpha = 0.5, beta = 0.3 at t = 1.2 has 39 points; read from the position
+    # side alone, slice 1 needed FFTs of 9600 points and the transform made 362 FFT calls
+    from tomoprop.greens import GreenFunction, Potential
+    from tomoprop.propagator import moment_grid
+
+    m, c = GreenFunction.for_potential(Potential(0.5, 0.3)).flow(1.2)
+    mean, cov = np.array([1.0, 0.5]), np.diag([0.5, 0.5])
+    grid = moment_grid(m @ mean + c, m @ cov @ m.T)
+    assert grid.count == 39
+    states = np.array([make_state(spec, grid).values for spec in ("gaussian:1,0.5,1", "ho:1")])
+    lengths = []
+
+    def counted(transform):
+        def call(a, n=None, axis=-1, norm=None, out=None):
+            lengths.append(np.shape(a)[axis] if n is None else n)
+            return transform(a, n, axis, norm, out)
+        return call
+
+    fft, ifft = np.fft.fft, np.fft.ifft
+    np.fft.fft, np.fft.ifft = counted(fft), counted(ifft)
+    try:
+        _transform_state_batch(grid, states, np.array([0.9, 0.1]), DEFAULT_X_GRID, DEFAULT_THETA_COUNT)
+    finally:
+        np.fft.fft, np.fft.ifft = fft, ifft
+    assert max(lengths) <= 1024
+    assert len(lengths) < 362
 
 
 def spline_evaluate(tomo, X, mu, nu):
