@@ -7,6 +7,7 @@ convention is a closed grid: both endpoints are grid points.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,23 +152,36 @@ def refine_samples(grid: UniformGrid, values, max_freq: float, axis: int = -1):
     return grid.lower + step * np.arange(n_fine), fft_upsample(values, n_fine, axis), step
 
 
+def _smooth_numbers(limit: int) -> list[int]:
+    """The 2*3*5*7*11-smooth integers up to `limit`, ascending."""
+    numbers = [1]
+    for p in (2, 3, 5, 7, 11):
+        for n in numbers.copy():  # append n p^e for every e >= 1 within the limit
+            n *= p
+            while n <= limit:
+                numbers.append(n)
+                n *= p
+    return sorted(numbers)
+
+
+_FAST_LENS = _smooth_numbers(2 * MAX_FINE)
+
+
 def next_fast_len(target: int) -> int:
     """Smallest 2*3*5*7*11-smooth integer >= target: pocketfft's fast complex lengths.
 
     This is the length scipy.fft.next_fast_len picks for complex transforms,
     so FFT sizes (and output bytes) do not depend on which library chose them.
+    Read from the table of those integers up to 2 MAX_FINE; a larger target
+    takes the least p next_fast_len(ceil(target / p)) over the primes p, as
+    every smooth integer above 1 is p times a smooth integer.
     """
     if target < 1:
         raise InvalidInputError(f"FFT length target must be positive, got {target}")
     n = int(target)
-    while True:
-        rest = n
-        for p in (2, 3, 5, 7, 11):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return n
-        n += 1
+    if n > _FAST_LENS[-1]:
+        return min(p * next_fast_len(-(-n // p)) for p in (2, 3, 5, 7, 11))
+    return _FAST_LENS[bisect.bisect_left(_FAST_LENS, n)]
 
 
 def _solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:

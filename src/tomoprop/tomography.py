@@ -56,6 +56,14 @@ class Tomogram:
     interpolation, so the scaling identity is algebraically exact.  A tomogram produced by a coordinate pullback
     keeps a reference to its base together with the linear frame map, so
     repeated pullbacks compose exactly at the coordinate level.
+
+    `values` is read-only, so the two tables built from it on first use and
+    kept for the tomogram's life cannot go stale: `_segment_coeffs`, the X
+    spline that `evaluate` reads, 32 n_theta (n_x - 1) bytes, and
+    `_characteristic_table`, the slice characteristics that the inverse
+    transform reads, 16 n_theta (pad/2 + 4) bytes with pad the smallest
+    power of two >= 16 n_x (2.0 MB and 11.8 MB on the default 351 x 180
+    lattice).
     """
 
     x_grid: UniformGrid
@@ -78,7 +86,9 @@ class Tomogram:
             raise InvalidInputError(
                 f"tomogram has negative values down to {vals.min():.3g}"
             )
-        object.__setattr__(self, "values", np.maximum(vals, 0.0))
+        vals = np.maximum(vals, 0.0)
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @cached_property
     def theta_grid(self) -> UniformGrid:
@@ -93,6 +103,48 @@ class Tomogram:
         # one not-a-knot cubic spline per theta slice, vectorized over slices
         c = cubic_spline_coeffs(self.values.T, self.x_grid.step)  # (4, n_x - 1, n_theta)
         return np.ascontiguousarray(c.transpose(2, 1, 0))
+
+    @cached_property
+    def _characteristic_table(self):
+        """The slice characteristics `_slice_characteristic` reads, as
+        (taps, pad, lattice_per_freq, u_centre).
+
+        The trapezoid sum chi_j(f) = int w(u, theta_j) exp(i f u) du =
+        exp(i f u_K) Q_j(f), centred on the slice's mean sample K = K_j at
+        u_centre[j], has Q_j(g) = sum_k wu_k w_jk exp(i g (u_k - u_K))
+        periodic in g with period 2 pi / h because k - K is an integer, and
+        Q_j(-g) = conj Q_j(g).  One zero-padded real FFT per slice tabulates
+        Q_j at g = 2 pi l / (pad h), l = -1 ... pad/2 + 2 (lattice_per_freq =
+        pad h / (2 pi) points per unit of g); taps[j, l] holds the four points
+        l - 1 ... l + 2 of slice j.  The padded coefficients are filled and
+        transformed a block of slices at a time, so only the table spans them
+        all.
+        """
+        n = self.theta_count
+        count = self.x_grid.count
+        pad = 1 << (16 * count - 1).bit_length()  # smallest power of two >= 16 count
+        half = pad // 2
+        weighted = self.values * trapezoid_weights(count, self.x_grid.step)
+        k = np.arange(count)
+        # any integer K_j is exact; the slice's mean sample keeps Q_j slowly varying
+        mass = np.maximum(weighted.sum(axis=1), np.finfo(float).tiny)
+        centre = np.rint(weighted @ k / mass).astype(int)
+        # column c holds lattice point c - 1: the rfft half 0 ... pad/2, and by
+        # Q(-g) = conj Q(g) and the period, the points -1, pad/2 + 1 and pad/2 + 2
+        table = np.empty((n, half + 4), dtype=np.complex128)
+        block = max(1, (1 << 17) // pad)  # slices a 1 MiB coefficient block holds
+        for lo in range(0, n, block):
+            w = weighted[lo : lo + block]
+            coeffs = np.zeros((len(w), pad))
+            # sample k sits at index K_j - k, so the forward FFT (sign -) sums exp(+i g (u_k - u_K))
+            coeffs[np.arange(len(w))[:, None], (centre[lo : lo + block, None] - k) % pad] = w
+            np.fft.rfft(coeffs, axis=1, out=table[lo : lo + block, 1 : half + 2])
+        table[:, 0] = table[:, 2].conj()
+        table[:, half + 2 :] = table[:, half : half - 2 : -1].conj()
+        taps = np.lib.stride_tricks.sliding_window_view(table, 4, axis=1)  # [j, l] = points l - 1 ... l + 2
+        lattice_per_freq = pad * self.x_grid.step / (2.0 * np.pi)
+        u_centre = self.x_grid.points[centre]
+        return taps, pad, lattice_per_freq, u_centre
 
     def _interp_rows(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Cubic-spline values of slice `rows[q]` at positions `u[q]`; 0 outside."""
@@ -511,39 +563,15 @@ def _slice_characteristic(
     are real, so chi_theta(-s) = conj chi_theta(s): each frame reads both of
     its slices at f = s >= 0 and conjugates where the fold says so.
 
-    The trapezoid sum chi_j(f) = exp(i f u_K) Q_j(f), centred on the slice's
-    mean sample K = K_j, has Q_j(g) = sum_k wu_k w_jk exp(i g (u_k - u_K))
-    periodic in g with period 2 pi / h because k - K is an integer, and
-    Q_j(-g) = conj Q_j(g).  One zero-padded real FFT per slice tabulates Q_j
-    on a uniform lattice over half that period; each frame folds s into the
-    half period and reads Q_j by 4-point cubic Lagrange interpolation (about
-    1e-9 against the dense sum).  The padded coefficients are filled and
-    transformed a block of slices at a time, so only the table spans them all.
+    chi_j(f) = exp(i f u_K) Q_j(f) is read from the tomogram's
+    `_characteristic_table`, built on the first call and kept with the
+    tomogram (11.8 MB on the default lattice): each frame folds s into the
+    half period of Q_j and reads it by 4-point cubic Lagrange interpolation
+    (about 1e-9 against the dense sum).
     """
     n = tomo.theta_count
-    count = tomo.x_grid.count
-    pad = 1 << (16 * count - 1).bit_length()  # smallest power of two >= 16 count
+    taps, pad, lattice_per_freq, u_centre = tomo._characteristic_table
     half = pad // 2
-    weighted = tomo.values * trapezoid_weights(count, tomo.x_grid.step)
-    k = np.arange(count)
-    # any integer K_j is exact; the slice's mean sample keeps Q_j slowly varying
-    mass = np.maximum(weighted.sum(axis=1), np.finfo(float).tiny)
-    centre = np.rint(weighted @ k / mass).astype(int)
-    # column c holds lattice point c - 1: the rfft half 0 ... pad/2, and by
-    # Q(-g) = conj Q(g) and the period, the points -1, pad/2 + 1 and pad/2 + 2
-    table = np.empty((n, half + 4), dtype=np.complex128)
-    block = max(1, (1 << 17) // pad)  # slices a 1 MiB coefficient block holds
-    for lo in range(0, n, block):
-        w = weighted[lo : lo + block]
-        coeffs = np.zeros((len(w), pad))
-        # sample k sits at index K_j - k, so the forward FFT (sign -) sums exp(+i g (u_k - u_K))
-        coeffs[np.arange(len(w))[:, None], (centre[lo : lo + block, None] - k) % pad] = w
-        np.fft.rfft(coeffs, axis=1, out=table[lo : lo + block, 1 : half + 2])
-    table[:, 0] = table[:, 2].conj()
-    table[:, half + 2 :] = table[:, half : half - 2 : -1].conj()
-    taps = np.lib.stride_tricks.sliding_window_view(table, 4, axis=1)  # [j, l] = points l - 1 ... l + 2
-    lattice_per_freq = pad * tomo.x_grid.step / (2.0 * np.pi)
-    u_centre = tomo.x_grid.points[centre]
 
     mu = mu.ravel()
     nu = nu.ravel()

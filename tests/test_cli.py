@@ -64,6 +64,25 @@ def test_config_refuses_grids_past_the_memory_budget():
         RunConfig(pos_count=MAX_POS_COUNT + 1).validate()
 
 
+def test_green_route_stays_within_the_lattice_memory_budget(tmp_path, capsys):
+    # the bound RunConfig.validate applies per X-theta point, held by the
+    # route that needs the most: about 250 B a point on the default lattice,
+    # mostly the inverse transform's table, which the tomogram keeps
+    import tracemalloc
+
+    argv = ["evolve", "--state", "gaussian:1,0.5,1", "--potential", "harmonic", "--route", "green",
+            "--t", "0.7", "-o", str(tmp_path / "e.csv")]
+    tracemalloc.start()
+    try:
+        code, _, _ = run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    config = RunConfig()
+    assert peak < BYTES_PER_LATTICE_POINT * config.x_count * config.theta_count
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -141,6 +141,26 @@ def test_next_fast_len_matches_scipy():
         next_fast_len(0)
 
 
+def _next_fast_len_by_search(target):
+    """The smallest 2*3*5*7*11-smooth integer >= target, trying one integer after another."""
+    n = target
+    while not _is_11_smooth(n):
+        n += 1
+    return n
+
+
+def test_next_fast_len_matches_a_search():
+    rng = np.random.default_rng(11)
+    targets = np.concatenate([
+        np.arange(1, 20001),
+        rng.integers(20001, 2 * MAX_FINE + 1, 3000),
+        [2 * MAX_FINE - 1, 2 * MAX_FINE, 2 * MAX_FINE + 1],
+        rng.integers(2 * MAX_FINE + 1, 64 * MAX_FINE, 50),  # past the table
+    ])
+    for target in targets.tolist():
+        assert next_fast_len(target) == _next_fast_len_by_search(target), target
+
+
 def _packets(x, centres, widths, wavenumbers):
     """Gaussian packets along axis 0 of x, one column per centre."""
     return np.exp(-((x[:, None] - centres) ** 2) / (2.0 * widths**2) + 1j * wavenumbers * x[:, None])

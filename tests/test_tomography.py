@@ -225,6 +225,19 @@ def test_tomogram_shape_validation():
         Tomogram(x_grid=X_GRID, theta_count=THETA_COUNT, values=np.zeros((3, 3)))
 
 
+def test_tomogram_values_are_read_only():
+    # the cached spline and characteristic tables are built from `values`,
+    # so an in-place edit, which would leave them stale, is refused
+    values = np.full((THETA_COUNT, X_GRID.count), 0.05)
+    tomo = Tomogram(x_grid=X_GRID, theta_count=THETA_COUNT, values=values)
+    with pytest.raises(ValueError):
+        tomo.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        tomo.values *= 2.0
+    values[0, 0] = 1.0  # the caller's array stays its own
+    assert tomo.values[0, 0] == 0.05
+
+
 def test_theta_grid_convention():
     g = angle_grid(90)
     assert g.points[0] == 0.0
@@ -335,6 +348,38 @@ def test_slice_characteristic_table_build_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_density_from_tomogram_builds_the_characteristic_table_once(monkeypatch):
+    tomo = tomogram_from_wavefunction(make_state(GaussianPacket(1.0, 0.5, 1.0)), X_GRID, THETA_COUNT)
+    target = UniformGrid(-5.0, 7.0, 40)
+    first = density_from_tomogram(tomo, target)
+    rffts = []
+    rfft = np.fft.rfft
+
+    def counting(*args, **kwargs):
+        rffts.append(args[0].shape)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    second = density_from_tomogram(tomo, target)
+    assert rffts == []
+    fresh = density_from_tomogram(Tomogram(x_grid=X_GRID, theta_count=THETA_COUNT, values=tomo.values), target)
+    assert rffts  # a new tomogram builds its own table
+    assert second.values.tobytes() == first.values.tobytes() == fresh.values.tobytes()
+    assert second.meta == first.meta == fresh.meta
+
+
+def test_pullback_tomogram_builds_its_own_characteristic_table(packet_tomogram):
+    c, s = np.cos(0.3), np.sin(0.3)
+    pulled = packet_tomogram.with_frame_map(np.array([[1.0, 0.2, 0.0], [0.0, c, -s], [0.0, s, c]]))
+    mu, nu = _characteristic_frames()
+    got = _slice_characteristic(pulled, mu, nu)
+    assert not np.shares_memory(pulled._characteristic_table[0], packet_tomogram._characteristic_table[0])
+    # the table is that of the materialized lattice values, not the base's
+    materialized = Tomogram(x_grid=X_GRID, theta_count=THETA_COUNT, values=pulled.values.copy())
+    assert got.tobytes() == _slice_characteristic(materialized, mu, nu).tobytes()
+    assert np.abs(got - _slice_characteristic(packet_tomogram, mu, nu)).max() > 0.1
 
 
 def full_lattice_density(tomo, target_grid, mu_step=0.05):
