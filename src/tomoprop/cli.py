@@ -52,6 +52,7 @@ _ROUTES = ("pullback", "green", "pde")
 # `evolve --route green` takes about 250 B a point at 351 x 180 and 215 at 701 x 360
 # (the inverse transform's table, which the tomogram keeps through the forward
 # transform, dominates; tests/test_cli.py holds it under BYTES_PER_LATTICE_POINT),
+# `--route pullback` and `--route pde` about 120 B at 351 x 180 and 113 at 701 x 360,
 # `reconstruct` about 90 B an entry and `green` 40 B.
 # The bounds round those up; `RunConfig.validate` applies them before any numerics.
 MEMORY_BUDGET = 1 << 31  # 2 GiB

@@ -262,12 +262,13 @@ def eval_spline(table: np.ndarray, rows, q: np.ndarray, lower: float, step: floa
     """Values at q of stacked cubic splines on the knots lower + i * step; 0 outside [lower, upper].
 
     `table` holds m splines from cubic_spline_coeffs in segment-major
-    order, shape (m, n - 1, 4), so one gather fetches a whole cubic; q[k]
-    (q one-dimensional) is read from spline rows[k].
+    order, shape (m, n - 1, 4), so one `np.take` fetches a whole cubic;
+    `rows` and `q` broadcast against each other, and each q is read from
+    the spline its row names, at their broadcast shape.
     """
     n_seg = table.shape[1]
     seg = np.clip(np.floor((q - lower) / step), 0, n_seg - 1).astype(int)
-    c = table.reshape(-1, 4)[rows * n_seg + seg]
+    c = np.take(table.reshape(-1, 4), rows * n_seg + seg, axis=0)
     t = q - (lower + seg * step)
-    out = ((c[:, 0] * t + c[:, 1]) * t + c[:, 2]) * t + c[:, 3]
+    out = ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
     return np.where((q >= lower) & (q <= upper), out, 0.0)

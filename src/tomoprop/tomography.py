@@ -7,6 +7,7 @@ inverse uses exp(+i (X - mu (x + x') / 2)).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -151,8 +152,10 @@ class Tomogram:
         g = self.x_grid
         return eval_spline(self._segment_coeffs, rows, u, g.lower, g.step, g.upper)
 
-    def _evaluate_block(self, X: np.ndarray, mu: np.ndarray, nu: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """`evaluate` of this lattice tomogram on flat frame arrays with s > 0."""
+    def _evaluate_block(self, X: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """`evaluate` of this lattice tomogram on a block of frames with s > 0:
+        mu and nu broadcast to X's shape, and their angles fold at their own."""
+        s = np.hypot(mu, nu)
         flip, j0, j1, frac, wrap = _fold_frames(mu, nu, self.theta_count)
         u = np.where(flip, -X, X) / s
         u1 = np.where(wrap, -u, u)
@@ -161,11 +164,17 @@ class Tomogram:
         return np.maximum((1.0 - frac) * v0 + frac * v1, 0.0) / s
 
     def evaluate(self, X, mu, nu):
-        """w at an arbitrary frame (X, mu, nu) with s = sqrt(mu^2+nu^2) > 0.
+        """w at arbitrary frames (X, mu, nu) with s = sqrt(mu^2+nu^2) > 0,
+        at the broadcast shape of the three.
 
         Uses the homogeneity law to rescale to the unit circle, the parity
         identity w(X, theta + pi) = w(-X, theta) to fold angles into
-        [0, pi), then interpolates (cubic in X, linear in theta).
+        [0, pi), then interpolates (cubic in X, linear in theta).  The
+        angles are folded at the broadcast shape of (mu, nu) alone, before
+        they meet X: X of shape (r, c) with mu and nu of shape (r, 1) folds
+        r angles, not r c, and gives the same values as the flattened call.
+        The frames are read in blocks of whole rows (leading axes) of at
+        most 8192 frames, or in 8192-frame pieces of one row.
         """
         if self.base is not None:
             q = self.frame_map @ np.stack(np.broadcast_arrays(
@@ -177,36 +186,55 @@ class Tomogram:
             out = self.base.evaluate(q[0], q[1], q[2])
             return out.reshape(shape) if shape else float(out.reshape(()))
 
-        X, mu, nu = np.broadcast_arrays(
-            np.asarray(X, dtype=float),
-            np.asarray(mu, dtype=float),
-            np.asarray(nu, dtype=float),
-        )
-        shape = X.shape
-        X, mu, nu = X.ravel(), mu.ravel(), nu.ravel()
+        X = np.asarray(X, dtype=float)
+        mu, nu = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(nu, dtype=float))
         if not (np.isfinite(X).all() and np.isfinite(mu).all() and np.isfinite(nu).all()):
             raise InvalidFrameError("tomogram frame has a non-finite coordinate")
-        s = np.hypot(mu, nu)
-        if np.any(s == 0):
+        if np.any((mu == 0) & (nu == 0)):
             raise InvalidFrameError("tomogram frame mu = nu = 0 is degenerate")
-        out = np.empty(X.size)
+        shape = np.broadcast_shapes(X.shape, mu.shape)
+        # (rows, cols): the leading axes and the last one, where the angles
+        # keep length 1 on whichever they do not vary along
+        dims = shape or (1,)
+        rows, cols = math.prod(dims[:-1]), dims[-1]
+        X = np.broadcast_to(X, dims).reshape(rows, cols)
+        mu, nu = (_as_rows(a, dims) for a in (mu, nu))
+        angle_rows, angle_cols = mu.shape[0] > 1, mu.shape[1] > 1
+        out = np.empty((rows, cols))
         chunk = 1 << 13  # blocks keep the temporaries small and cache-resident
-        for lo in range(0, X.size, chunk):
-            hi = min(lo + chunk, X.size)
-            out[lo:hi] = self._evaluate_block(X[lo:hi], mu[lo:hi], nu[lo:hi], s[lo:hi])
+        row_step, col_step = max(1, chunk // max(cols, 1)), max(1, min(cols, chunk))
+        for r0 in range(0, rows, row_step):
+            for c0 in range(0, cols, col_step):
+                r, c = slice(r0, r0 + row_step), slice(c0, c0 + col_step)
+                a = (r if angle_rows else slice(None), c if angle_cols else slice(None))
+                out[r, c] = self._evaluate_block(X[r, c], mu[a], nu[a])
         return out.reshape(shape) if shape else float(out.reshape(()))
 
     def with_frame_map(self, matrix: np.ndarray) -> "Tomogram":
         """Pullback tomogram evaluating the base at `matrix @ (X, mu, nu)`.
 
         Lattice values are materialized for export and norm checks; the
-        evaluation path composes maps exactly.
+        evaluation path composes maps exactly.  A frame map never mixes X
+        into (mu', nu'): a matrix whose [1:, 0] is not exactly zero raises
+        InvalidInputError.  So every lattice row j flows to one (mu', nu'),
+        read from the row's first frame, and one `base.evaluate` of X' of
+        shape (n_theta, n_x) against mu', nu' of shape (n_theta, 1) folds
+        n_theta angles.
         """
+        matrix = np.asarray(matrix, dtype=float)
+        if np.any(matrix[1:, 0] != 0):
+            raise InvalidInputError("a frame map must not mix X into (mu, nu): its [1:, 0] must be 0")
         base = self.base if self.base is not None else self
         composed = (self.frame_map @ matrix) if self.frame_map is not None else matrix
-        Xg, Th = np.meshgrid(self.x_grid.points, self.theta_grid.points, indexing="xy")
-        q = composed @ np.stack([Xg.ravel(), np.cos(Th).ravel(), np.sin(Th).ravel()])
-        vals = base.evaluate(q[0], q[1], q[2]).reshape(self.theta_count, self.x_grid.count)
+        n_theta, n_x = self.theta_count, self.x_grid.count
+        theta = self.theta_grid.points
+        q = composed @ np.stack([
+            np.tile(self.x_grid.points, n_theta),
+            np.repeat(np.cos(theta), n_x),
+            np.repeat(np.sin(theta), n_x),
+        ])
+        X, mu, nu = q.reshape(3, n_theta, n_x)
+        vals = base.evaluate(X, mu[:, :1], nu[:, :1])
         return Tomogram(
             x_grid=self.x_grid,
             theta_count=self.theta_count,
@@ -215,6 +243,15 @@ class Tomogram:
             frame_map=composed,
             meta=dict(self.meta),
         )
+
+
+def _as_rows(a: np.ndarray, dims: tuple) -> np.ndarray:
+    """`a`, which broadcasts to `dims`, as a 2-D array over dims' leading axes
+    and its last one, of length 1 along either that `a` does not span."""
+    a = a.reshape((1,) * (len(dims) - a.ndim) + a.shape)
+    if math.prod(a.shape[:-1]) > 1:
+        a = np.broadcast_to(a, dims[:-1] + a.shape[-1:])
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
 
 
 def _fold_frames(mu: np.ndarray, nu: np.ndarray, n: int):

@@ -210,9 +210,18 @@ def test_eval_spline_matches_ppoly_and_vanishes_outside():
     expected = np.where(inside[:, None], PPoly(coeffs, x)(q), 0.0)
     # stacked splines, one column each, picked per point
     rows = rng.integers(0, 3, q.size)
-    got = eval_spline(np.ascontiguousarray(coeffs.transpose(2, 1, 0)), rows, q, x[0], grid.step, x[-1])
+    table = np.ascontiguousarray(coeffs.transpose(2, 1, 0))
+    got = eval_spline(table, rows, q, x[0], grid.step, x[-1])
     assert np.abs(got - expected[np.arange(q.size), rows]).max() < 1e-15
     assert not got[~inside].any()
+    # rows (r, 1) against q (r, c): row i's spline at every q[i], the same
+    # values as the flat call
+    rows2, q2 = rows[:6, None], q[:3000].reshape(6, 500)
+    got2 = eval_spline(table, rows2, q2, x[0], grid.step, x[-1])
+    assert got2.shape == q2.shape
+    want = expected[:3000].reshape(6, 500, 3)[np.arange(6), :, rows2.ravel()]
+    assert np.abs(got2 - want).max() < 1e-15
+    assert got2.tobytes() == eval_spline(table, rows2.repeat(500), q2.ravel(), x[0], grid.step, x[-1]).tobytes()
 
 
 def test_cubic_spline_reproduces_cubics():

@@ -23,7 +23,7 @@ from tomoprop.propagator import (
 from tomoprop.states import GaussianPacket, evolve_wavefunction, make_state
 from tomoprop import propagator, tomography
 from tomoprop.tomography import density_from_tomogram, tomogram_from_wavefunction
-from tomoprop.transport import reduce_evolution_equation, solve_characteristics
+from tomoprop.transport import characteristic_flow, reduce_evolution_equation, solve_characteristics
 
 from kernel_oracle import kernel_fourier_2d
 
@@ -105,6 +105,95 @@ def test_green_zero_time_roundtrip(packet_tomogram):
 def test_slice_norms_preserved_by_pullback(packet_tomogram):
     evolved = evolve_pullback(packet_tomogram, OSCILLATOR, 1.1)
     assert np.abs(evolved.slice_norms() - 1.0).max() < 1e-6
+
+
+# --- frame maps and the lattice materialization -------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(-2, 2, allow_nan=False),
+    beta=st.sampled_from([-0.5, -0.2, 0.0, 0.5]) | st.floats(-0.5, 0.5, allow_nan=False),
+    t=st.floats(-3, 3, allow_nan=False),
+    t2=st.floats(-3, 3, allow_nan=False),
+)
+def test_frame_maps_never_mix_x_into_the_angles(alpha, beta, t, t2):
+    # with_frame_map folds one angle per lattice row, which holds only if
+    # (mu', nu') never depend on X: column 0 below row 0 is exactly zero
+    potential = Potential(alpha, beta)
+    pde = reduce_evolution_equation(potential)
+    maps = [
+        _pullback_frame_matrix(potential, t),
+        _pullback_frame_matrix(potential, t2),
+        characteristic_flow(pde, t),
+        characteristic_flow(pde, t2),
+    ]
+    for m in maps + [a @ b for a in maps for b in maps]:
+        assert np.all(m[1:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("row", [1, 2])
+def test_with_frame_map_refuses_a_map_that_mixes_x_into_the_angles(packet_tomogram, row):
+    matrix = np.eye(3)
+    matrix[row, 0] = 1e-300
+    with pytest.raises(InvalidInputError, match="must not mix X"):
+        packet_tomogram.with_frame_map(matrix)
+
+
+def pointwise_pullback(tomo, matrix):
+    """Lattice values of tomo.with_frame_map(matrix), read frame by frame: the
+    base evaluated on the flattened composed map of every lattice frame."""
+    base = tomo.base if tomo.base is not None else tomo
+    composed = tomo.frame_map @ matrix if tomo.frame_map is not None else matrix
+    Xg, Th = np.meshgrid(tomo.x_grid.points, tomo.theta_grid.points, indexing="xy")
+    q = composed @ np.stack([Xg.ravel(), np.cos(Th).ravel(), np.sin(Th).ravel()])
+    return base.evaluate(q[0], q[1], q[2]).reshape(tomo.values.shape)
+
+
+_FRAME_MAPS = {
+    "pullback_free": lambda t: _pullback_frame_matrix(FREE, t),
+    "pullback_oscillator": lambda t: _pullback_frame_matrix(OSCILLATOR, t),
+    "pullback_0.5_0.3": lambda t: _pullback_frame_matrix(Potential(0.5, 0.3), t),
+    "characteristics_0_-0.2": lambda t: characteristic_flow(reduce_evolution_equation(Potential(0.0, -0.2)), t),
+}
+
+
+@pytest.mark.parametrize("theta_count", [180, 181])
+@pytest.mark.parametrize("route", sorted(_FRAME_MAPS))
+def test_materialized_pullback_matches_pointwise_reads_bytewise(route, theta_count):
+    tomo = tomogram_from_wavefunction(make_state(GaussianPacket(1.0, 0.5, 1.0)), X_GRID, theta_count)
+    flow = _FRAME_MAPS[route]
+    once = tomo.with_frame_map(flow(0.7))
+    assert once.values.tobytes() == pointwise_pullback(tomo, flow(0.7)).tobytes()
+    twice = once.with_frame_map(flow(1.3))  # a chain of two maps
+    assert twice.values.tobytes() == pointwise_pullback(once, flow(1.3)).tobytes()
+
+
+def test_materialization_folds_one_angle_per_lattice_row(packet_tomogram, monkeypatch):
+    # perfbench's tomography.Tomogram.evaluate.frames counts the frames of
+    # every evaluate call on a lattice tomogram, so a materialization must
+    # stay one such call, of n_theta n_x frames, that folds n_theta angles
+    folded, calls = [], []
+    fold, evaluate = tomography._fold_frames, tomography.Tomogram.evaluate
+
+    def recording_fold(mu, nu, n):
+        folded.append(np.size(mu))
+        return fold(mu, nu, n)
+
+    def recording_evaluate(self, X, mu, nu):
+        out = evaluate(self, X, mu, nu)
+        calls.append((self.base is None, np.size(out)))
+        return out
+
+    monkeypatch.setattr(tomography, "_fold_frames", recording_fold)
+    monkeypatch.setattr(tomography.Tomogram, "evaluate", recording_evaluate)
+    evolved = packet_tomogram
+    for potential, t in ((Potential(0.5, 0.3), 0.7), (FREE, 1.2)):  # the second pulls back a pullback
+        folded.clear()
+        calls.clear()
+        evolved = evolve_pullback(evolved, potential, t)
+        assert sum(folded) == THETA_COUNT
+        assert calls == [(True, THETA_COUNT * X_GRID.count)]
 
 
 # --- kernel Fourier component ------------------------------------------------

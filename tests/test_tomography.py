@@ -668,6 +668,33 @@ def test_evaluate_blocks_agree_with_single_frames(packet_tomogram):
     assert np.array_equal(got[picks], single)
 
 
+@pytest.mark.parametrize("rows,cols", [(120, 201), (3, 9000), (1, 1)], ids=["lattice", "long_rows", "one"])
+def test_evaluate_of_row_angles_matches_the_flat_call_bytewise(packet_tomogram, rows, cols):
+    # angles of shape (r, 1) fold once per row; the values are those of the
+    # flattened per-frame call, in blocks of whole rows or of one row's pieces
+    rng = np.random.default_rng(rows)
+    theta = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (rows, 1))
+    scale = rng.uniform(0.4, 2.5, (rows, 1))
+    X = rng.uniform(-13.0, 13.0, (rows, cols))
+    mu, nu = scale * np.cos(theta), scale * np.sin(theta)
+    got = packet_tomogram.evaluate(X, mu, nu)
+    assert got.shape == (rows, cols)
+    flat = packet_tomogram.evaluate(X.ravel(), np.repeat(mu, cols), np.repeat(nu, cols))
+    assert got.tobytes() == flat.tobytes()
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7, np.pi, 4.1, 2.0 * np.pi - 1e-3])
+def test_optical_slice_is_the_per_frame_read_of_its_angle(packet_tomogram, phi):
+    # optical_slice passes one (mu, nu) for the whole slice; its values stay
+    # those of reading every X with its own copy of the angle
+    x = packet_tomogram.x_grid.points
+    c, s = np.cos(0.6), np.sin(0.6)
+    pulled = packet_tomogram.with_frame_map(np.array([[1.0, 0.2, -0.1], [0.0, c, -s], [0.0, s, c]]))
+    for tomo in (packet_tomogram, pulled):
+        mu, nu = np.full(x.size, np.cos(phi)), np.full(x.size, np.sin(phi))
+        assert optical_slice(tomo, phi).tobytes() == tomo.evaluate(x, mu, nu).tobytes()
+
+
 @pytest.mark.parametrize(
     "frame",
     [(np.nan, 1.0, 0.0), (0.5, np.nan, 0.2), (0.5, 0.3, np.inf), ([0.1, -np.inf], 1.0, 0.5)],
