@@ -49,9 +49,10 @@ _ROUTES = ("pullback", "green", "pde")
 # Grid sizes are bounded by a memory budget for one run.  Peak bytes per
 # X-theta lattice point and per pos_count^2 matrix entry were measured with
 # tracemalloc on 63k-252k point lattices and 512-2048 point position grids:
-# `evolve --route green` takes about 250 B a point at 351 x 180 and 215 at 701 x 360
+# `evolve --route green` takes about 248 B a point at 351 x 180 and 212 at 701 x 360
 # (the inverse transform's table, which the tomogram keeps through the forward
-# transform, dominates; tests/test_cli.py holds it under BYTES_PER_LATTICE_POINT),
+# transform, dominates, and its 4-point theta read on 8192-frame chunks adds
+# nothing measurable; tests/test_cli.py holds it under BYTES_PER_LATTICE_POINT),
 # `--route pullback` and `--route pde` about 120 B at 351 x 180 and 113 at 701 x 360,
 # `reconstruct` about 90 B an entry and `green` 40 B.
 # The bounds round those up; `RunConfig.validate` applies them before any numerics.

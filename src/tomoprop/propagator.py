@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import InvalidInputError, NumericalDomainError
 from .greens import GreenFunction, Potential, classical_flow
 from .grids import UniformGrid, fine_count, trapezoid_weights
@@ -74,6 +75,7 @@ def _grid_meta(grid: UniformGrid) -> list:
     return [float(grid.lower), float(grid.upper), grid.count]
 
 
+@one_blas_thread()
 def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram:
     """Evolution through the quantum propagator.
 
@@ -83,11 +85,18 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
 
     The input grid is `moment_grid` of the tomogram's own moments, the
     output grid that of the same moments flowed by the kernel's classical
-    flow (mean -> m mean + c, cov -> m cov m^T).  The reconstructed density
-    matrix is renormalized to unit trace and cut by `spectral_components`.
+    flow (mean -> m mean + c, cov -> m cov m^T).  The inverse transform
+    samples mu at pi / span of the input grid, half the alias limit
+    2 pi / span: its trapezoid rule folds the state at sigma/2 +- 2 pi/step
+    onto rho at sigma/2, and those images then lie 2 span away, outside the
+    grid, which holds the state within +- TAIL_SDS sd_x.  The reconstructed
+    density matrix is renormalized to unit trace and cut by
+    `spectral_components`.
     A kernel phase rate that needs more fine samples than grids.MAX_FINE
     raises NumericalDomainError before the inverse transform runs.  t = 0
-    keeps the eigenvectors as they are.
+    keeps the eigenvectors as they are.  The route runs with BLAS on the
+    calling thread (`one_blas_thread`): its matrices are a few dozen points
+    wide, where a hand-off to a worker thread costs more than the work.
 
     The returned meta holds the input cut's components, weight_kept and
     weight_dropped, the inverse stage's mu_band, mu_edge_ratio and
@@ -105,7 +114,7 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
         m, c = green.flow(t)
         out_grid = moment_grid(m @ mean + c, m @ cov @ m.T)
         fine_count(in_grid, green.phase_rate_bound(out_grid.reach, in_grid.reach, t))
-    rho = density_from_tomogram(tomo, in_grid)
+    rho = density_from_tomogram(tomo, in_grid, mu_step=np.pi / in_grid.span)
     try:
         states, weights, cut = spectral_components(
             DensityMatrix(grid=in_grid, values=rho.values / rho.trace())

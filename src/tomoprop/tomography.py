@@ -589,6 +589,17 @@ def tomogram_moments(tomo: Tomogram):
 # --- inverse transform -------------------------------------------------------
 
 
+def _lagrange_weights(t: np.ndarray) -> np.ndarray:
+    """4-point cubic Lagrange weights, shape t.shape + (4,), of the nodes
+    -1, 0, 1, 2 at offsets t in [0, 1]; t = 0 gives exactly (0, 1, 0, 0)."""
+    return np.stack([
+        -t * (t - 1.0) * (t - 2.0) / 6.0,
+        (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
+        -(t + 1.0) * t * (t - 2.0) / 2.0,
+        (t + 1.0) * t * (t - 1.0) / 6.0,
+    ], axis=-1)
+
+
 def _slice_characteristic(
     tomo: Tomogram, mu: np.ndarray, nu: np.ndarray
 ) -> np.ndarray:
@@ -596,19 +607,27 @@ def _slice_characteristic(
 
     Reduced by homogeneity to the characteristic function of the stored
     theta slices: K = chi_theta(+-s) with chi_theta(f) = int w(u, theta)
-    exp(i f u) du, interpolated linearly between stored slices.  The slices
-    are real, so chi_theta(-s) = conj chi_theta(s): each frame reads both of
-    its slices at f = s >= 0 and conjugates where the fold says so.
+    exp(i f u) du, interpolated in theta by 4-point cubic Lagrange weights
+    over the slices j0 - 1 ... j0 + 2 around the frame's folded angle.
+    Those taps lie on the parity-extended circle of 2 n angles: a tap
+    below 0 or at n or above reads slice j mod n at -X, since w(X, theta
+    + pi) = w(-X, theta).  The slices are real, so chi_theta(-s) = conj
+    chi_theta(s): each frame reads its four slices at f = s >= 0 and
+    conjugates where the fold or the tap's wrap says so.  At a lattice
+    angle the weights are exactly (0, 1, 0, 0), so the frame reads its
+    slice alone.
 
     chi_j(f) = exp(i f u_K) Q_j(f) is read from the tomogram's
     `_characteristic_table`, built on the first call and kept with the
     tomogram (11.8 MB on the default lattice): each frame folds s into the
-    half period of Q_j and reads it by 4-point cubic Lagrange interpolation
-    (about 1e-9 against the dense sum).
+    half period of Q_j and reads it by the same 4-point Lagrange
+    interpolation (about 1e-9 against the dense sum), one gather of the
+    four slices' taps.
     """
     n = tomo.theta_count
     taps, pad, lattice_per_freq, u_centre = tomo._characteristic_table
     half = pad // 2
+    offsets = np.arange(-1, 3)
 
     mu = mu.ravel()
     nu = nu.ravel()
@@ -617,27 +636,19 @@ def _slice_characteristic(
     for lo in range(0, mu.size, chunk):
         hi = min(lo + chunk, mu.size)
         s = np.hypot(mu[lo:hi], nu[lo:hi])
-        flip, j0, j1, frac, wrap = _fold_frames(mu[lo:hi], nu[lo:hi], n)
+        flip, j0, _, frac, _ = _fold_frames(mu[lo:hi], nu[lo:hi], n)
+        ext = j0[:, None] + offsets  # taps on the circle of 2 n angles, -1 ... n + 1
+        rows = ext % n
+        conj = flip[:, None] ^ (ext != rows)  # a tap across theta = 0 or pi reads -X
         pos = np.mod(s * lattice_per_freq, pad)
         upper = pos > half  # Q(pos) = conj Q(pad - pos)
         pos = np.where(upper, pad - pos, pos)
         l0 = np.floor(pos).astype(int)
-        t = pos - l0
-        lagrange = np.stack([
-            -t * (t - 1.0) * (t - 2.0) / 6.0,
-            (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0,
-            -(t + 1.0) * t * (t - 2.0) / 2.0,
-            (t + 1.0) * t * (t - 1.0) / 6.0,
-        ], axis=1)
-
-        def chi(rows: np.ndarray, conj: np.ndarray) -> np.ndarray:
-            q = np.einsum("qk,qk->q", taps[rows, l0], lagrange)
-            np.negative(q.imag, out=q.imag, where=upper)
-            q *= np.exp(1j * s * u_centre[rows])  # chi_j(s)
-            np.negative(q.imag, out=q.imag, where=conj)  # chi_j(-s)
-            return q
-
-        out[lo:hi] = (1.0 - frac) * chi(j0, flip) + frac * chi(j1, flip ^ wrap)
+        q = (taps[rows, l0[:, None]] @ _lagrange_weights(pos - l0)[:, :, None])[..., 0]
+        np.negative(q.imag, out=q.imag, where=upper[:, None])
+        q *= np.exp(1j * s[:, None] * u_centre[rows])  # chi_j(s)
+        np.negative(q.imag, out=q.imag, where=conj)  # chi_j(-s)
+        out[lo:hi] = np.einsum("qr,qr->q", q, _lagrange_weights(frac))
         out[lo:hi][s == 0] = 1.0  # chi_theta(0) = 1 for every theta by normalization
     return out
 
@@ -660,6 +671,13 @@ def density_from_tomogram(
     band starts at MU_BAND_START and doubles until the boundary integrand is
     below MU_EDGE_THRESHOLD of its peak; if it is still larger at MU_BAND_MAX
     an accuracy warning lands in the metadata.
+
+    The mu quadrature is a trapezoid sum of step `mu_step`, which folds the
+    state at sigma/2 +- 2 pi/mu_step onto rho at sigma/2.  The default 0.05
+    puts those images 2 pi/0.05 = 126 away, so a target grid need not cover
+    the state (`reconstruct` reads any grid it is given).  A caller whose
+    target grid of span L holds the state may pass pi / L, which puts them
+    2 L away, outside the grid (`evolve_via_green` does).
     """
     n = target_grid.count
     h = target_grid.step
