@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from . import io as tio
 from .errors import InvalidInputError, NumericalDomainError, TomopropError
 from .greens import FREE, OSCILLATOR, GreenFunction, Potential
-from .grids import UniformGrid
+from .grids import MAX_FINE, UniformGrid
 from .propagator import (
     DEFAULT_DAMPING,
     KernelFourierQuery,
@@ -55,7 +55,12 @@ _ROUTES = ("pullback", "green", "pde")
 # nothing measurable; tests/test_cli.py holds it under BYTES_PER_LATTICE_POINT),
 # `--route pullback` and `--route pde` about 120 B at 351 x 180 and 113 at 701 x 360,
 # `reconstruct` about 90 B an entry and `green` 40 B.
-# The bounds round those up; `RunConfig.validate` applies them before any numerics.
+# The bounds round those up and are applied before any numerics: the lattice
+# bound by `RunConfig.validate`, the matrix bound by `RunConfig.validate_matrices`
+# for the two subcommands that build pos_count^2 matrices, `green` and
+# `reconstruct`.  Every other subcommand holds pos_count samples in vectors
+# alone, so `validate` bounds pos_count only by grids.MAX_FINE, the longest
+# fine grid the forward transform builds.
 MEMORY_BUDGET = 1 << 31  # 2 GiB
 BYTES_PER_LATTICE_POINT = 512
 BYTES_PER_MATRIX_ENTRY = 128
@@ -120,8 +125,8 @@ class RunConfig:
 
     def validate(self) -> None:
         """Checks that hold whichever subcommand runs: counts of at least 8,
-        within the memory bounds above, then the time, route, potential and
-        state."""
+        the lattice within the memory bound above and pos_count within
+        MAX_FINE, then the time, route, potential and state."""
         for name, count in (
             ("x_count", self.x_count),
             ("theta_count", self.theta_count),
@@ -129,17 +134,16 @@ class RunConfig:
         ):
             if count < 8:
                 raise InvalidInputError(f"{name} must be at least 8, got {count}")
-        budget = f"the {MEMORY_BUDGET >> 30} GiB memory budget"
         lattice = self.x_count * self.theta_count
         if lattice > MAX_LATTICE_POINTS:
             raise InvalidInputError(
                 f"x_count * theta_count = {lattice} lattice points exceed {MAX_LATTICE_POINTS}, "
-                f"{budget} at {BYTES_PER_LATTICE_POINT} B a point"
+                f"the {MEMORY_BUDGET >> 30} GiB memory budget at {BYTES_PER_LATTICE_POINT} B a point"
             )
-        if self.pos_count > MAX_POS_COUNT:
+        if self.pos_count > MAX_FINE:
             raise InvalidInputError(
-                f"pos_count {self.pos_count} exceeds {MAX_POS_COUNT}: its {self.pos_count}^2 matrices "
-                f"need more than {budget} at {BYTES_PER_MATRIX_ENTRY} B an entry"
+                f"pos_count {self.pos_count} exceeds MAX_FINE = {MAX_FINE}, the longest fine grid "
+                f"the forward transform builds"
             )
         if not isinstance(self.t, (int, float)) or not math.isfinite(self.t):
             raise InvalidInputError(f"t must be a finite number, got {self.t!r}")
@@ -147,6 +151,15 @@ class RunConfig:
             raise InvalidInputError(f"route must be one of {_ROUTES}, got {self.route!r}")
         self.resolved_potential()
         parse_state_spec(self.state)
+
+    def validate_matrices(self) -> None:
+        """The memory bound on pos_count^2 matrices, for the subcommands that build them."""
+        if self.pos_count > MAX_POS_COUNT:
+            raise InvalidInputError(
+                f"pos_count {self.pos_count} exceeds {MAX_POS_COUNT}: its {self.pos_count}^2 matrices "
+                f"need more than the {MEMORY_BUDGET >> 30} GiB memory budget at "
+                f"{BYTES_PER_MATRIX_ENTRY} B an entry"
+            )
 
 
 # JSON value types a config file may give each annotated RunConfig field type
@@ -249,6 +262,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_green(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    config.validate_matrices()
     if args.kind == "free":
         green = GreenFunction.free()
     elif args.kind == "oscillator":
@@ -288,6 +302,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    config.validate_matrices()
     tomo = tio.read_tomogram(args.input)
     rho = density_from_tomogram(tomo, config.position_grid())
     meta = _base_meta(config)

@@ -20,6 +20,8 @@ from .greens import GreenFunction, Potential, classical_flow
 from .grids import UniformGrid, fine_count, trapezoid_weights
 from .states import DensityMatrix, propagate_states
 from .tomography import (
+    MU_BAND_MAX,
+    MU_EDGE_THRESHOLD,
     Tomogram,
     density_from_tomogram,
     spectral_components,
@@ -89,8 +91,10 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
     samples mu at pi / span of the input grid, half the alias limit
     2 pi / span: its trapezoid rule folds the state at sigma/2 +- 2 pi/step
     onto rho at sigma/2, and those images then lie 2 span away, outside the
-    grid, which holds the state within +- TAIL_SDS sd_x.  The reconstructed
-    density matrix is renormalized to unit trace and cut by
+    grid, which holds the state within +- TAIL_SDS sd_x.  Its mu band is the
+    tomogram's own (`density_from_tomogram`), read off the envelope of its
+    slice characteristics, so it holds for any state, pure or mixed.  The
+    reconstructed density matrix is renormalized to unit trace and cut by
     `spectral_components`.
     A kernel phase rate that needs more fine samples than grids.MAX_FINE
     raises NumericalDomainError before the inverse transform runs.  t = 0
@@ -101,10 +105,12 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
     The returned meta holds the input cut's components, weight_kept and
     weight_dropped, the inverse stage's mu_band, mu_edge_ratio and
     accuracy_warning, and both grids as [lower, upper, count].  When the
-    cut rejects the reconstruction as too indefinite and the inverse read
-    frames past radius pi/h, the error names the cause: a slice sampled at
-    X step h has a characteristic of period 2 pi/h in frequency, so frames
-    beyond pi/h read its periodic images.
+    inverse sets accuracy_warning, the route raises InvalidInputError
+    naming the cause: the slice characteristics stay above
+    MU_EDGE_THRESHOLD of their peak out to the band's cap min(pi/h,
+    MU_BAND_MAX), and a slice sampled at X step h has a characteristic of
+    period 2 pi/h in frequency, known only out to pi/h.  So a returned
+    tomogram always has accuracy_warning False.
     """
     mean, cov = tomogram_moments(tomo)
     in_grid = moment_grid(mean, cov)
@@ -115,21 +121,18 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
         out_grid = moment_grid(m @ mean + c, m @ cov @ m.T)
         fine_count(in_grid, green.phase_rate_bound(out_grid.reach, in_grid.reach, t))
     rho = density_from_tomogram(tomo, in_grid, mu_step=np.pi / in_grid.span)
-    try:
-        states, weights, cut = spectral_components(
-            DensityMatrix(grid=in_grid, values=rho.values / rho.trace())
-        )
-    except InvalidInputError as err:
+    if rho.meta["accuracy_warning"]:
         h = tomo.x_grid.step
-        radius = np.hypot(rho.meta["mu_band"], in_grid.span)
-        if radius <= np.pi / h:
-            raise
         raise InvalidInputError(
-            f"inverse transform aliased: it reads frames out to radius {radius:.3g} (mu_band "
-            f"{rho.meta['mu_band']:g}, nu up to {in_grid.span:.3g}), past pi/h = {np.pi / h:.3g}, "
-            f"and the tomogram's X step h = {h:.3g} gives each slice characteristic the period "
-            f"2 pi/h = {2.0 * np.pi / h:.3g} in frequency; a finer X grid avoids this ({err})"
-        ) from err
+            f"inverse transform unresolved: the slice characteristics stay above "
+            f"{MU_EDGE_THRESHOLD:g} of their peak out to the mu band's cap {rho.meta['mu_band']:.3g} "
+            f"(pi/h = {np.pi / h:.3g} for the X step h = {h:.3g}, past which each slice characteristic "
+            f"repeats with period 2 pi/h = {2.0 * np.pi / h:.3g}; MU_BAND_MAX = {MU_BAND_MAX:g}); "
+            f"a finer X grid avoids this"
+        )
+    states, weights, cut = spectral_components(
+        DensityMatrix(grid=in_grid, values=rho.values / rho.trace())
+    )
     if t != 0:
         states = propagate_states(states, in_grid, out_grid, green, t)
     rho_t = DensityMatrix(grid=out_grid, values=(states.T * weights) @ states.conj())

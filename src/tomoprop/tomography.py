@@ -31,9 +31,8 @@ from .states import DensityMatrix, WaveFunction
 MAX_COMPONENTS = 16  # spectral components kept by spectral_components
 WEIGHT_FLOOR = 1e-6  # smallest spectral weight kept
 NEGATIVE_WEIGHT_BOUND = 0.1  # largest total |negative spectral weight| a density matrix may carry
-MU_BAND_START = 16.0  # first mu band of density_from_tomogram
-MU_BAND_MAX = 40.0  # the band doubles up to this
-MU_EDGE_THRESHOLD = 1e-8  # band edge / peak ratio that ends the doubling
+MU_BAND_MAX = 40.0  # largest mu band of density_from_tomogram
+MU_EDGE_THRESHOLD = 1e-8  # envelope / peak ratio of the slice characteristics that sets the mu band
 _BLOCK_BYTES = 1 << 20  # temporaries one block of _transform_state_batch may hold (_block_bytes)
 NEGATIVE_TOL = 1e-10  # most negative value a Tomogram accepts (and clips to 0)
 DEFAULT_X_GRID = UniformGrid(-14.0, 14.0, 351)
@@ -64,7 +63,8 @@ class Tomogram:
     `_characteristic_table`, the slice characteristics that the inverse
     transform reads, 16 n_theta (pad/2 + 4) bytes with pad the smallest
     power of two >= 16 n_x (2.0 MB and 11.8 MB on the default 351 x 180
-    lattice).
+    lattice), together with the frequency past which they all stay below
+    MU_EDGE_THRESHOLD of their peak, which sets the inverse's mu band.
     """
 
     x_grid: UniformGrid
@@ -107,8 +107,8 @@ class Tomogram:
 
     @cached_property
     def _characteristic_table(self):
-        """The slice characteristics `_slice_characteristic` reads, as
-        (taps, pad, lattice_per_freq, u_centre).
+        """The slice characteristics `_slice_characteristic` reads, and how far
+        they reach, as (taps, pad, lattice_per_freq, u_centre, envelope_edge).
 
         The trapezoid sum chi_j(f) = int w(u, theta_j) exp(i f u) du =
         exp(i f u_K) Q_j(f), centred on the slice's mean sample K = K_j at
@@ -120,6 +120,13 @@ class Tomogram:
         l - 1 ... l + 2 of slice j.  The padded coefficients are filled and
         transformed a block of slices at a time, so only the table spans them
         all.
+
+        envelope_edge is the frequency past which the envelope E(g) =
+        max_j |Q_j(g)| stays below MU_EDGE_THRESHOLD E(0) out to the half
+        period pi/h, plus the two points the 4-point read needs, so a read
+        at g >= envelope_edge takes only points below that level.
+        E is gathered from each block's rfft output as it is made; a value
+        past pi/h means E never settles within the half period.
         """
         n = self.theta_count
         count = self.x_grid.count
@@ -133,19 +140,24 @@ class Tomogram:
         # column c holds lattice point c - 1: the rfft half 0 ... pad/2, and by
         # Q(-g) = conj Q(g) and the period, the points -1, pad/2 + 1 and pad/2 + 2
         table = np.empty((n, half + 4), dtype=np.complex128)
+        envelope = np.zeros(half + 1)  # max_j |Q_j| at the points 0 ... pad/2
         block = max(1, (1 << 17) // pad)  # slices a 1 MiB coefficient block holds
         for lo in range(0, n, block):
             w = weighted[lo : lo + block]
             coeffs = np.zeros((len(w), pad))
             # sample k sits at index K_j - k, so the forward FFT (sign -) sums exp(+i g (u_k - u_K))
             coeffs[np.arange(len(w))[:, None], (centre[lo : lo + block, None] - k) % pad] = w
-            np.fft.rfft(coeffs, axis=1, out=table[lo : lo + block, 1 : half + 2])
+            rows = table[lo : lo + block, 1 : half + 2]
+            np.fft.rfft(coeffs, axis=1, out=rows)
+            np.maximum(envelope, np.abs(rows).max(axis=0), out=envelope)
         table[:, 0] = table[:, 2].conj()
         table[:, half + 2 :] = table[:, half : half - 2 : -1].conj()
         taps = np.lib.stride_tricks.sliding_window_view(table, 4, axis=1)  # [j, l] = points l - 1 ... l + 2
         lattice_per_freq = pad * self.x_grid.step / (2.0 * np.pi)
         u_centre = self.x_grid.points[centre]
-        return taps, pad, lattice_per_freq, u_centre
+        # point 0 always qualifies; a read at pos >= last + 2 takes only points past the last one
+        last = np.flatnonzero(envelope >= MU_EDGE_THRESHOLD * envelope[0])[-1]
+        return taps, pad, lattice_per_freq, u_centre, (last + 2) / lattice_per_freq
 
     def _interp_rows(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Cubic-spline values of slice `rows[q]` at positions `u[q]`; 0 outside."""
@@ -625,7 +637,7 @@ def _slice_characteristic(
     four slices' taps.
     """
     n = tomo.theta_count
-    taps, pad, lattice_per_freq, u_centre = tomo._characteristic_table
+    taps, pad, lattice_per_freq, u_centre, _ = tomo._characteristic_table
     half = pad // 2
     offsets = np.arange(-1, 3)
 
@@ -662,15 +674,31 @@ def density_from_tomogram(
     """Inverse transform rho(x, x') = (1/2 pi) iint w(X, mu, x - x')
     exp(i (X - mu (x + x')/2)) dmu dX.
 
-    The mu integral is truncated at |mu| <= MU_BAND_MAX.  Computation
-    exploits that the integrand depends on (x, x') only through nu = x - x'
-    and sigma = x + x', both of which live on small difference/sum lattices
-    of the target grid.  The tomogram is real, so K(-mu, -nu) = conj K(mu, nu):
-    only the nu >= 0 half of the lattice is evaluated, it gives the lower
-    triangle x >= x', and the upper one is its conjugate transpose.  The mu
-    band starts at MU_BAND_START and doubles until the boundary integrand is
-    below MU_EDGE_THRESHOLD of its peak; if it is still larger at MU_BAND_MAX
-    an accuracy warning lands in the metadata.
+    Computation exploits that the integrand depends on (x, x') only through
+    nu = x - x' and sigma = x + x', both of which live on small
+    difference/sum lattices of the target grid.  The tomogram is real, so
+    K(-mu, -nu) = conj K(mu, nu): only the nu >= 0 half of the lattice is
+    evaluated, it gives the lower triangle x >= x', and the upper one is
+    its conjugate transpose.
+
+    The mu integral is truncated at |mu| <= band, chosen once per tomogram
+    from the envelope E(f) = max_j |Q_j(f)| of its `_characteristic_table`:
+    the band is the frequency past which E stays below MU_EDGE_THRESHOLD
+    E(0) out to the table's half period pi/h (with the two table points
+    the 4-point read needs), capped at min(pi/h, MU_BAND_MAX).  Every frame
+    at |mu| >= band has radius s >= band and |K(mu, nu)| = |chi_theta(s)|
+    <= E(s), so the band bounds the truncated edge for any state, pure or
+    mixed, without a Gaussian assumption; it reads only the fundamental
+    period, so it never stops on a periodic image.
+
+    Frames past radius pi/h read 0: a slice sampled at X step h has a
+    characteristic known only out to pi/h, and the table holds its
+    periodic images beyond.  Only a band capped at pi/h reads past it, on
+    its edge rows up to one mu step out, which mirror the characteristic
+    within that step of pi/h.  The meta reports `mu_band`, `mu_edge_ratio`
+    (the largest |K| on the band's edge rows over the peak) and
+    `accuracy_warning`, set when E is still above the threshold at the
+    capped band.
 
     The mu quadrature is a trapezoid sum of step `mu_step`, which folds the
     state at sigma/2 +- 2 pi/mu_step onto rho at sigma/2.  The default 0.05
@@ -684,20 +712,23 @@ def density_from_tomogram(
     nu_vals = np.arange(n) * h
     sigma_vals = 2.0 * target_grid.lower + np.arange(2 * n - 1) * h
 
-    band = MU_BAND_START
-    while True:
-        m_half = int(np.ceil(band / mu_step))
-        mu_axis = np.arange(-m_half, m_half + 1) * mu_step
-        Mu, Nu = np.meshgrid(mu_axis, nu_vals, indexing="ij")
-        K = _slice_characteristic(tomo, Mu, Nu).reshape(Mu.shape)
-        # |K| is mirror-symmetric, so each edge row's missing half is the other's present one
-        edge = max(np.abs(K[0]).max(), np.abs(K[-1]).max())
-        peak = np.abs(K).max()
-        edge_ratio = edge / peak if peak > 0 else 0.0
-        if edge_ratio <= MU_EDGE_THRESHOLD or band >= MU_BAND_MAX:
-            break
-        band = min(2.0 * band, MU_BAND_MAX)
-    accuracy_warning = edge_ratio > MU_EDGE_THRESHOLD
+    envelope_edge = tomo._characteristic_table[4]
+    nyquist = np.pi / tomo.x_grid.step
+    band = min(envelope_edge, nyquist, MU_BAND_MAX)
+    m_half = int(np.ceil(band / mu_step))
+    mu_axis = np.arange(-m_half, m_half + 1) * mu_step
+    Mu, Nu = np.meshgrid(mu_axis, nu_vals, indexing="ij")
+    # past radius pi/h the table holds periodic images, not the slices' characteristics;
+    # a band capped at pi/h keeps its edge rows, which mirror the last step inside
+    reach = max(nyquist, mu_axis[-1])
+    inside = Mu**2 + Nu**2 <= reach**2
+    K = np.zeros(Mu.shape, dtype=np.complex128)
+    K[inside] = _slice_characteristic(tomo, Mu[inside], Nu[inside])
+    # |K| is mirror-symmetric, so each edge row's missing half is the other's present one
+    edge = max(np.abs(K[0]).max(), np.abs(K[-1]).max())
+    peak = np.abs(K).max()
+    edge_ratio = edge / peak if peak > 0 else 0.0
+    accuracy_warning = band < envelope_edge
 
     weighted = K.T * (trapezoid_weights(mu_axis.size, mu_step) / (2.0 * np.pi))  # (n_nu, n_mu)
     # rho[i, j] (i >= j) reads nu index d = i - j and sigma index i + j, which

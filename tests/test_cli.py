@@ -21,6 +21,7 @@ from tomoprop.cli import (
 )
 from tomoprop.errors import InvalidInputError
 from tomoprop.greens import FREE, OSCILLATOR
+from tomoprop.grids import MAX_FINE
 from tomoprop.tomography import density_from_tomogram
 
 FAST = ["--theta-count", "48", "--x-count", "101"]
@@ -56,12 +57,41 @@ def test_config_refuses_grids_past_the_memory_budget():
     assert MAX_LATTICE_POINTS * BYTES_PER_LATTICE_POINT == MEMORY_BUDGET
     assert MAX_POS_COUNT**2 * BYTES_PER_MATRIX_ENTRY <= MEMORY_BUDGET
     RunConfig(x_count=MAX_LATTICE_POINTS // 1024, theta_count=1024, pos_count=MAX_POS_COUNT).validate()
+    RunConfig(pos_count=MAX_POS_COUNT).validate_matrices()
     with pytest.raises(InvalidInputError, match="lattice points exceed"):
         RunConfig(x_count=MAX_LATTICE_POINTS // 1024 + 1, theta_count=1024).validate()
     with pytest.raises(InvalidInputError, match="lattice points exceed"):
         RunConfig(x_count=10**9, theta_count=10**9).validate()
+    # only green and reconstruct build pos_count^2 matrices; the rest hold vectors
+    RunConfig(pos_count=MAX_POS_COUNT + 1).validate()
     with pytest.raises(InvalidInputError, match=f"pos_count {MAX_POS_COUNT + 1} exceeds"):
-        RunConfig(pos_count=MAX_POS_COUNT + 1).validate()
+        RunConfig(pos_count=MAX_POS_COUNT + 1).validate_matrices()
+    RunConfig(pos_count=MAX_FINE).validate()
+    with pytest.raises(InvalidInputError, match=f"pos_count {MAX_FINE + 1} exceeds MAX_FINE"):
+        RunConfig(pos_count=MAX_FINE + 1).validate()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["tomogram"], EXIT_OK),
+        (["evolve", "--state", "gaussian:1,0.5,1", "--potential", "harmonic", "--t", "0.5"], EXIT_OK),
+        (["green", "--t", "1"], EXIT_INVALID),
+        (["reconstruct", "missing.csv"], EXIT_INVALID),
+    ],
+    ids=["tomogram", "evolve", "green", "reconstruct"],
+)
+def test_pos_count_past_the_matrix_bound_is_refused_only_where_matrices_are_built(tmp_path, capsys, argv, code):
+    # 6000 points hold 6000^2 matrices past the memory budget, but a tomogram
+    # of them needs only vectors: 0.2 s and a 3 MB tracemalloc peak
+    out = tmp_path / "out.csv"
+    got, _, err = run(argv + ["--pos-count", "6000", "-o", str(out)] + FAST, capsys)
+    assert got == code
+    if code == EXIT_OK:
+        assert out.exists()
+    else:
+        assert "memory budget" in json.loads(err.strip())["message"]
+        assert not out.exists()
 
 
 def test_green_route_stays_within_the_lattice_memory_budget(tmp_path, capsys):
@@ -247,18 +277,52 @@ def test_overflowing_kernel_exits_4(tmp_path, capsys):
 
 
 def test_aliased_green_route_names_the_cause(tmp_path, capsys):
-    # at X step 0.28 the slice characteristic repeats past pi/h ~ 11, and the
-    # inverse reads frames out to radius 35 (mu band 32, nu up to 14.1)
+    # at X step 0.4 a slice characteristic is known only out to pi/h = 7.85,
+    # where the ground state's is still at 2e-7 of its peak, so the band
+    # stops there and the route refuses
     code, _, err = run(
         ["evolve", "--state", "ho_ground", "--potential", "harmonic", "--route", "green",
-         "--t", "0.5", "-o", str(tmp_path / "e.csv")] + FAST,
+         "--t", "0.5", "-o", str(tmp_path / "e.csv"), "--theta-count", "48", "--x-count", "71"],
         capsys,
     )
     assert code == EXIT_INVALID
     message = json.loads(err.strip())["message"]
-    for part in ("radius 35", "pi/h = 11.2", "h = 0.28", "2 pi/h = 22.4", "too indefinite"):
+    for part in ("unresolved", "cap 7.85", "pi/h = 7.85", "h = 0.4", "2 pi/h = 15.7", "finer X grid"):
         assert part in message
     assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["gaussian:0,0,0.3", "gaussian:0,0,0.5"])
+def test_green_route_refuses_a_band_capped_at_pi_over_h(tmp_path, capsys, spec):
+    # FAST's X step 0.28 resolves slice characteristics out to pi/h = 11.2;
+    # these narrow packets' are still above MU_EDGE_THRESHOLD there
+    code, _, err = run(
+        ["evolve", "--state", spec, "--potential", "harmonic", "--route", "green",
+         "--t", "0.5", "-o", str(tmp_path / "e.csv")] + FAST,
+        capsys,
+    )
+    assert code == EXIT_INVALID
+    assert "pi/h = 11.2" in json.loads(err.strip())["message"]
+
+
+@pytest.mark.parametrize(
+    "spec, lattice",
+    [("ho_ground", FAST), ("ho:3", ["--theta-count", "48", "--x-count", "201"])],
+    ids=["ground-101", "ho3-201"],
+)
+def test_green_route_on_a_coarse_lattice_matches_the_pullback(tmp_path, capsys, spec, lattice):
+    # the band (8.6 and 10.7) lies inside pi/h (11.2 and 22.4), and frames
+    # past that radius read 0 rather than the table's periodic images, which
+    # left ho:3 a spurious component and 2.4e-3; the oscillator leaves these
+    # tomograms unchanged, so the pullback is exact here
+    paths = {}
+    for route in ("green", "pullback"):
+        paths[route] = tmp_path / f"{route}.csv"
+        argv = ["evolve", "--state", spec, "--potential", "harmonic", "--route", route,
+                "--t", "0.5", "-o", str(paths[route])]
+        assert run(argv + lattice, capsys)[0] == EXIT_OK
+    green, pullback = (tio.read_tomogram(paths[route]) for route in ("green", "pullback"))
+    assert np.abs(green.values - pullback.values).max() < 1e-9
 
 
 def test_green_subcommand_values(tmp_path, capsys):
@@ -319,7 +383,9 @@ def test_reconstruct_sidecar_carries_inverse_diagnostics(tmp_path, capsys):
     assert run(argv, capsys)[0] == EXIT_OK
     meta = json.loads(tio.meta_path_for(tmp_path / "rho.real.csv").read_text())
     rho = density_from_tomogram(tio.read_tomogram(base), RunConfig(pos_count=32).position_grid())
-    assert rho.meta["mu_band"] > 16.0
+    # the width-0.3 packet outruns FAST's pi/h = 11.2, so the band stops there and warns
+    assert rho.meta["mu_band"] == pytest.approx(np.pi / 0.28, rel=1e-12)
+    assert rho.meta["accuracy_warning"] is True and rho.meta["mu_edge_ratio"] > 1e-8
     for key in ("mu_band", "mu_edge_ratio", "accuracy_warning"):
         assert meta[key] == rho.meta[key]
 
@@ -343,7 +409,8 @@ def test_green_evolve_sidecar_carries_diagnostics(tmp_path, capsys):
     assert set(sidecars["pde"]) == set(sidecars["pullback"])
     assert green["components"] >= 1 and green["weight_kept"] == pytest.approx(1.0, abs=1e-6)
     assert 0.0 <= green["weight_dropped"] < 1e-4
-    assert green["mu_band"] == 16.0 and 0.0 <= green["mu_edge_ratio"] <= 1e-8
+    # the ground state's slice characteristics fall to 1e-8 of their peak by |mu| = 8.6
+    assert 8.5 < green["mu_band"] < 8.7 and 0.0 <= green["mu_edge_ratio"] <= 1e-8
     assert green["accuracy_warning"] is False
     for key in ("input_grid", "output_grid"):
         lower, upper, count = green[key]

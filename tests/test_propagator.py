@@ -366,7 +366,7 @@ def test_green_route_carries_inverse_diagnostics(packet_tomogram):
 
 
 def test_green_route_reads_half_the_frames(monkeypatch):
-    # K(-mu, -nu) = conj K(mu, nu): the first mu band at the route's step
+    # K(-mu, -nu) = conj K(mu, nu): the tomogram's mu band at the route's step
     # pi/span times the nu >= 0 half of the input grid's differences is all it reads
     counted = []
     original = tomography._slice_characteristic
@@ -379,8 +379,10 @@ def test_green_route_reads_half_the_frames(monkeypatch):
     tomo = tomogram_from_wavefunction(make_state(GaussianPacket(1.0, 0.5, 1.0)))
     evolved = evolve_via_green(tomo, GreenFunction.oscillator(), 0.7)
     lower, upper, count = evolved.meta["input_grid"]
-    mu_count = 2 * math.ceil(tomography.MU_BAND_START / (np.pi / (upper - lower))) + 1
+    mu_count = 2 * math.ceil(evolved.meta["mu_band"] / (np.pi / (upper - lower))) + 1
     assert 0 < sum(counted) <= mu_count * count
+    # |K| of the packet falls to MU_EDGE_THRESHOLD of its peak by |mu| = 8.6
+    assert 8.5 < evolved.meta["mu_band"] < 8.7
 
 
 @pytest.fixture(scope="module")
@@ -441,6 +443,15 @@ def test_green_route_matches_the_flowed_gaussian_far_from_the_origin():
     evolved = evolve_via_green(tomo, GreenFunction.oscillator(), 0.7)
     exact = _flowed_gaussian_tomogram(tomo, 3.0, -2.0, 0.7, OSCILLATOR, 0.7)
     assert np.abs(evolved.values - exact).max() < 1e-5
+
+
+def test_green_route_refuses_what_the_lattice_cannot_resolve():
+    # the width-0.2 packet's slice characteristics are still at 4e-7 of their
+    # peak at pi/h = 39.3 on the default lattice; a band capped there returned
+    # 4.2e-2 against the pullback with only a warning in the meta
+    tomo = tomogram_from_wavefunction(make_state("gaussian:0,0,0.2"))
+    with pytest.raises(InvalidInputError, match=r"unresolved.*pi/h = 39\.3"):
+        evolve_via_green(tomo, GreenFunction.oscillator(), 0.5)
 
 
 def test_reconstructed_packet_keeps_one_component(default_packet_tomogram):

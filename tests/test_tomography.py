@@ -15,8 +15,6 @@ from tomoprop.states import (
 from tomoprop.tomography import (
     DEFAULT_THETA_COUNT,
     DEFAULT_X_GRID,
-    MU_BAND_MAX,
-    MU_BAND_START,
     MU_EDGE_THRESHOLD,
     Tomogram,
     _BLOCK_BYTES,
@@ -427,6 +425,31 @@ def test_density_from_tomogram_builds_the_characteristic_table_once(monkeypatch)
     assert second.meta == first.meta == fresh.meta
 
 
+def test_density_from_tomogram_gathers_the_envelope_once_a_block_at_a_time(monkeypatch):
+    # the band comes from the tomogram alone, so later inverses on any grid or
+    # step reuse it; the envelope is read from each block's rfft rows, never
+    # from a (theta_count, pad/2 + 1) whole-table temporary
+    tomo = tomogram_from_wavefunction(make_state(GaussianPacket(1.0, 0.5, 1.0)), X_GRID, THETA_COUNT)
+    target = UniformGrid(-5.0, 7.0, 40)
+    first = density_from_tomogram(tomo, target)
+    half = tomo._characteristic_table[1] // 2
+    reads = []
+    absolute = np.abs
+
+    def counting(x, *args, **kwargs):
+        if np.ndim(x) == 2 and np.shape(x)[1] == half + 1:
+            reads.append(np.shape(x)[0])
+        return absolute(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counting)
+    for grid, step in [(target, 0.05), (UniformGrid(-3.0, 3.0, 20), 0.2)]:
+        assert density_from_tomogram(tomo, grid, mu_step=step).meta["mu_band"] == first.meta["mu_band"]
+    assert reads == []
+    fresh = Tomogram(x_grid=X_GRID, theta_count=THETA_COUNT, values=tomo.values)
+    assert density_from_tomogram(fresh, target).meta == first.meta
+    assert sum(reads) == THETA_COUNT and max(reads) < THETA_COUNT
+
+
 def test_pullback_tomogram_builds_its_own_characteristic_table(packet_tomogram):
     c, s = np.cos(0.3), np.sin(0.3)
     pulled = packet_tomogram.with_frame_map(np.array([[1.0, 0.2, 0.0], [0.0, c, -s], [0.0, s, c]]))
@@ -439,34 +462,29 @@ def test_pullback_tomogram_builds_its_own_characteristic_table(packet_tomogram):
     assert np.abs(got - _slice_characteristic(packet_tomogram, mu, nu)).max() > 0.1
 
 
-def full_lattice_density(tomo, target_grid, mu_step=0.05):
-    """The inverse transform on the whole (mu, nu) lattice: every frame read
-    directly, one (n_nu, n_sigma) mu quadrature, then 0.5 (rho + rho^dagger)."""
+def full_lattice_density(tomo, target_grid, band, mu_step=0.05):
+    """The inverse transform on the whole (mu, nu) lattice of the given band:
+    every frame within radius pi/h read directly, one (n_nu, n_sigma) mu
+    quadrature, then 0.5 (rho + rho^dagger)."""
     n = target_grid.count
     h = target_grid.step
     nu_vals = np.arange(-(n - 1), n) * h
     sigma_vals = 2.0 * target_grid.lower + np.arange(2 * n - 1) * h
-    band = MU_BAND_START
-    while True:
-        m_half = int(np.ceil(band / mu_step))
-        mu_axis = np.arange(-m_half, m_half + 1) * mu_step
-        Mu, Nu = np.meshgrid(mu_axis, nu_vals, indexing="ij")
-        K = _slice_characteristic(tomo, Mu, Nu).reshape(Mu.shape)
-        edge = max(np.abs(K[0]).max(), np.abs(K[-1]).max())
-        peak = np.abs(K).max()
-        edge_ratio = edge / peak if peak > 0 else 0.0
-        if edge_ratio <= MU_EDGE_THRESHOLD or band >= MU_BAND_MAX:
-            break
-        band = min(2.0 * band, MU_BAND_MAX)
+    m_half = int(np.ceil(band / mu_step))
+    mu_axis = np.arange(-m_half, m_half + 1) * mu_step
+    Mu, Nu = np.meshgrid(mu_axis, nu_vals, indexing="ij")
+    inside = np.hypot(Mu, Nu) <= np.pi / tomo.x_grid.step
+    K = np.where(inside, _slice_characteristic(tomo, Mu, Nu).reshape(Mu.shape), 0.0)
     w_mu = trapezoid_weights(mu_axis.size, mu_step)
     phases = np.exp(-0.5j * np.outer(mu_axis, sigma_vals))
     table = (K.T * w_mu) @ phases / (2.0 * np.pi)
     idx = np.arange(n)
     rho = table[(idx[:, None] - idx[None, :]) + (n - 1), idx[:, None] + idx[None, :]]
-    return 0.5 * (rho + rho.conj().T), band, edge_ratio
+    edge = max(np.abs(K[0]).max(), np.abs(K[-1]).max())
+    return 0.5 * (rho + rho.conj().T), edge / np.abs(K).max()
 
 
-NARROW_PACKET = (0.5, 0.3, 0.3)  # |K| at |mu| = 16 is 3e-3 of its peak, so the band doubles
+NARROW_PACKET = (0.5, 0.3, 0.3)  # its band, 28.6, is the widest here
 
 
 @pytest.mark.parametrize(
@@ -482,13 +500,76 @@ NARROW_PACKET = (0.5, 0.3, 0.3)  # |K| at |mu| = 16 is 3e-3 of its peak, so the 
 def test_density_matches_full_lattice_oracle(packet, target):
     tomo = _packet_tomogram_closed_form(DEFAULT_X_GRID, DEFAULT_THETA_COUNT, *packet)
     rho = density_from_tomogram(tomo, target)
-    want, band, edge_ratio = full_lattice_density(tomo, target)
+    want, edge_ratio = full_lattice_density(tomo, target, rho.meta["mu_band"])
     assert np.abs(rho.values - want).max() < 1e-12
     assert rho.hermiticity_defect() == 0.0
-    assert rho.meta["mu_band"] == band
     assert rho.meta["mu_edge_ratio"] == pytest.approx(edge_ratio, rel=1e-12, abs=0.0)
-    if packet == NARROW_PACKET:
-        assert rho.meta["mu_band"] > 16
+    assert rho.meta["mu_edge_ratio"] <= MU_EDGE_THRESHOLD
+    assert rho.meta["accuracy_warning"] is False
+
+
+def dense_envelope(tomo, freqs):
+    """max_j |chi_j(f)| over every stored slice j, each chi_j(f) = sum_k wu_k
+    w(u_k, theta_j) exp(i f u_k) summed directly, with no FFT table."""
+    weighted = tomo.values * trapezoid_weights(tomo.x_grid.count, tomo.x_grid.step)
+    return np.abs(weighted @ np.exp(1j * np.outer(tomo.x_grid.points, freqs))).max(axis=0)
+
+
+BAND_STATES = {
+    "near": lambda: _packet_tomogram_closed_form(DEFAULT_X_GRID, DEFAULT_THETA_COUNT, *NEAR_PACKET),
+    "far": lambda: _packet_tomogram_closed_form(DEFAULT_X_GRID, DEFAULT_THETA_COUNT, *FAR_PACKET),
+    "narrow": lambda: _packet_tomogram_closed_form(DEFAULT_X_GRID, DEFAULT_THETA_COUNT, *NARROW_PACKET),
+    "ho:3": lambda: tomogram_from_wavefunction(make_state("ho:3")),
+    "ho:8": lambda: tomogram_from_wavefunction(make_state("ho:8")),
+    "coarse": lambda: tomogram_from_wavefunction(make_state("ho_ground"), UniformGrid(-14.0, 14.0, 101), 48),
+}
+
+
+@pytest.mark.parametrize("state", list(BAND_STATES))
+def test_mu_band_is_where_the_dense_slice_characteristics_settle(state):
+    # E(f) = max_j |chi_j(f)| stays at or below MU_EDGE_THRESHOLD E(0) from
+    # the band out to pi/h, and is above it just inside; every frame at
+    # |mu| >= band has radius s >= band and |K| <= E(s)
+    tomo = BAND_STATES[state]()
+    band = density_from_tomogram(tomo, UniformGrid(-4.0, 4.0, 17)).meta["mu_band"]
+    nyquist = np.pi / tomo.x_grid.step
+    assert band < nyquist
+    peak = dense_envelope(tomo, [0.0])[0]
+    assert (dense_envelope(tomo, np.linspace(band, nyquist, 2000)) <= MU_EDGE_THRESHOLD * peak).all()
+    assert dense_envelope(tomo, [band - 0.03])[0] > MU_EDGE_THRESHOLD * peak
+
+
+def test_mu_band_stops_at_pi_over_h_and_warns():
+    # the width-0.2 packet's position slice is still at 4e-7 of its peak at
+    # pi/h = 39.3 on the default lattice: the band stops there and says so
+    tomo = tomogram_from_wavefunction(make_state("gaussian:0,0,0.2"))
+    rho = density_from_tomogram(tomo, UniformGrid(-2.0, 2.0, 33))
+    assert rho.meta["mu_band"] == pytest.approx(np.pi / DEFAULT_X_GRID.step, rel=1e-12)
+    assert rho.meta["accuracy_warning"] is True
+    # the edge rows, up to one step past pi/h, still read the characteristic there
+    assert rho.meta["mu_edge_ratio"] > MU_EDGE_THRESHOLD
+    peak = dense_envelope(tomo, [0.0])[0]
+    assert dense_envelope(tomo, [rho.meta["mu_band"]])[0] > MU_EDGE_THRESHOLD * peak
+
+
+@pytest.mark.parametrize(
+    "spec, target, bound",
+    [
+        ("ho:3", UniformGrid(-6.0, 6.0, 97), 2e-9),
+        ("ho:8", UniformGrid(-8.0, 8.0, 129), 1e-8),
+        ("gaussian:0,0,0.3", UniformGrid(-3.0, 3.0, 97), 4e-4),
+    ],
+    ids=["ho3", "ho8", "narrow"],
+)
+def test_reconstruction_matches_the_exact_projector(spec, target, bound):
+    # reconstruct's default mu step on the default lattice; a band doubled
+    # from 16 read 1.06e-9, 7.13e-9 and 3.85e-4 here, the envelope's band
+    # 1.40e-9, 7.44e-9 and 3.85e-4 (the narrow packet's error is its theta read)
+    tomo = tomogram_from_wavefunction(make_state(spec))
+    psi = make_state(spec, target).values
+    rho = density_from_tomogram(tomo, target)
+    assert rho.meta["accuracy_warning"] is False
+    assert np.abs(rho.values - np.outer(psi, psi.conj())).max() < bound
 
 
 def dense_transform_batch(grid, states, weights, x_grid, theta_count, rows=None):
