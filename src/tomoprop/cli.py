@@ -35,6 +35,7 @@ from .tomography import (
     DEFAULT_X_GRID,
     Tomogram,
     density_from_tomogram,
+    refuse_unresolved,
     tomogram_from_wavefunction,
 )
 from .transport import reduce_evolution_equation, solve_characteristics
@@ -305,6 +306,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     config.validate_matrices()
     tomo = tio.read_tomogram(args.input)
     rho = density_from_tomogram(tomo, config.position_grid())
+    refuse_unresolved(tomo, rho.meta)
     meta = _base_meta(config)
     meta["source"] = str(args.input)
     meta.update(rho.meta)

@@ -20,10 +20,9 @@ from .greens import GreenFunction, Potential, classical_flow
 from .grids import UniformGrid, fine_count, trapezoid_weights
 from .states import DensityMatrix, propagate_states
 from .tomography import (
-    MU_BAND_MAX,
-    MU_EDGE_THRESHOLD,
     Tomogram,
     density_from_tomogram,
+    refuse_unresolved,
     spectral_components,
     tomogram_from_density,
     tomogram_moments,
@@ -77,6 +76,33 @@ def _grid_meta(grid: UniformGrid) -> list:
     return [float(grid.lower), float(grid.upper), grid.count]
 
 
+def _input_moments(tomo: Tomogram):
+    """The tomogram's mean and covariance, read-only, and their `moment_grid`."""
+    mean, cov = tomogram_moments(tomo)
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    return mean, cov, moment_grid(mean, cov)
+
+
+def _input_state(tomo: Tomogram, grid: UniformGrid):
+    """The Green route's input state: (states, weights, meta) of the
+    tomogram's reconstruction on `grid`, the arrays read-only.
+
+    The meta holds the inverse's mu_band, mu_edge_ratio and
+    accuracy_warning, and the cut's components, weight_kept and
+    weight_dropped.  A reconstruction with accuracy_warning set is not cut:
+    its states and weights are None, and only its meta is returned.
+    """
+    rho = density_from_tomogram(tomo, grid, mu_step=np.pi / grid.span)
+    meta = {key: rho.meta[key] for key in ("mu_band", "mu_edge_ratio", "accuracy_warning")}
+    if meta["accuracy_warning"]:
+        return None, None, meta
+    states, weights, cut = spectral_components(DensityMatrix(grid=grid, values=rho.values / rho.trace()))
+    states.setflags(write=False)
+    weights.setflags(write=False)
+    return states, weights, {**cut, **meta}
+
+
 @one_blas_thread()
 def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram:
     """Evolution through the quantum propagator.
@@ -102,45 +128,33 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
     calling thread (`one_blas_thread`): its matrices are a few dozen points
     wide, where a hand-off to a worker thread costs more than the work.
 
+    The input half depends on the tomogram alone, so it runs once per
+    tomogram and is kept with it (`Tomogram._kept`): the moments and the
+    input grid on the first call, the reconstruction and its cut on the
+    first call that passes the time and MAX_FINE checks.  Later calls go
+    straight to the propagation and the forward transform.
+
     The returned meta holds the input cut's components, weight_kept and
     weight_dropped, the inverse stage's mu_band, mu_edge_ratio and
     accuracy_warning, and both grids as [lower, upper, count].  When the
-    inverse sets accuracy_warning, the route raises InvalidInputError
-    naming the cause: the slice characteristics stay above
-    MU_EDGE_THRESHOLD of their peak out to the band's cap min(pi/h,
-    MU_BAND_MAX), and a slice sampled at X step h has a characteristic of
-    period 2 pi/h in frequency, known only out to pi/h.  So a returned
-    tomogram always has accuracy_warning False.
+    inverse sets accuracy_warning, every call raises InvalidInputError
+    naming the cause (`refuse_unresolved`), so a returned tomogram always
+    has accuracy_warning False.
     """
-    mean, cov = tomogram_moments(tomo)
-    in_grid = moment_grid(mean, cov)
+    mean, cov, in_grid = tomo._kept("green_moments", lambda: _input_moments(tomo))
     out_grid = in_grid
     if t != 0:
         green.check_time(t)
         m, c = green.flow(t)
         out_grid = moment_grid(m @ mean + c, m @ cov @ m.T)
         fine_count(in_grid, green.phase_rate_bound(out_grid.reach, in_grid.reach, t))
-    rho = density_from_tomogram(tomo, in_grid, mu_step=np.pi / in_grid.span)
-    if rho.meta["accuracy_warning"]:
-        h = tomo.x_grid.step
-        raise InvalidInputError(
-            f"inverse transform unresolved: the slice characteristics stay above "
-            f"{MU_EDGE_THRESHOLD:g} of their peak out to the mu band's cap {rho.meta['mu_band']:.3g} "
-            f"(pi/h = {np.pi / h:.3g} for the X step h = {h:.3g}, past which each slice characteristic "
-            f"repeats with period 2 pi/h = {2.0 * np.pi / h:.3g}; MU_BAND_MAX = {MU_BAND_MAX:g}); "
-            f"a finer X grid avoids this"
-        )
-    states, weights, cut = spectral_components(
-        DensityMatrix(grid=in_grid, values=rho.values / rho.trace())
-    )
+    states, weights, meta = tomo._kept("green_input", lambda: _input_state(tomo, in_grid))
+    refuse_unresolved(tomo, meta)
     if t != 0:
         states = propagate_states(states, in_grid, out_grid, green, t)
     rho_t = DensityMatrix(grid=out_grid, values=(states.T * weights) @ states.conj())
     evolved = tomogram_from_density(rho_t, tomo.x_grid, tomo.theta_count)
-    evolved.meta.update(cut)  # the input cut's figures, in place of the output's
-    evolved.meta.update(
-        (key, rho.meta[key]) for key in ("mu_band", "mu_edge_ratio", "accuracy_warning")
-    )
+    evolved.meta.update(meta)  # the input cut's figures, in place of the output's, and the inverse's
     evolved.meta.update(input_grid=_grid_meta(in_grid), output_grid=_grid_meta(out_grid))
     return evolved
 

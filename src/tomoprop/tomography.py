@@ -57,14 +57,19 @@ class Tomogram:
     keeps a reference to its base together with the linear frame map, so
     repeated pullbacks compose exactly at the coordinate level.
 
-    `values` is read-only, so the two tables built from it on first use and
-    kept for the tomogram's life cannot go stale: `_segment_coeffs`, the X
-    spline that `evaluate` reads, 32 n_theta (n_x - 1) bytes, and
+    `values` is read-only, so the three items built from it on first use
+    and kept for the tomogram's life cannot go stale: `_segment_coeffs`,
+    the X spline that `evaluate` reads, 32 n_theta (n_x - 1) bytes;
     `_characteristic_table`, the slice characteristics that the inverse
     transform reads, 16 n_theta (pad/2 + 4) bytes with pad the smallest
     power of two >= 16 n_x (2.0 MB and 11.8 MB on the default 351 x 180
     lattice), together with the frequency past which they all stay below
-    MU_EDGE_THRESHOLD of their peak, which sets the inverse's mu band.
+    MU_EDGE_THRESHOLD of their peak, which sets the inverse's mu band; and
+    the Green route's input half, which `evolve_via_green` keeps with
+    `_kept` in two entries: the moments and their moment grid on its first
+    call, the reconstruction's kept eigenvectors, weights and meta once its
+    refusals have passed, 16 components n_grid bytes (576 B for the
+    default packet's one component on 36 points).
     """
 
     x_grid: UniformGrid
@@ -158,6 +163,14 @@ class Tomogram:
         # point 0 always qualifies; a read at pos >= last + 2 takes only points past the last one
         last = np.flatnonzero(envelope >= MU_EDGE_THRESHOLD * envelope[0])[-1]
         return taps, pad, lattice_per_freq, u_centre, (last + 2) / lattice_per_freq
+
+    def _kept(self, name: str, build):
+        """`build()`, made on the first call for `name` and kept with the
+        tomogram, where a cached_property keeps its value."""
+        kept = self.__dict__
+        if name not in kept:
+            kept[name] = build()
+        return kept[name]
 
     def _interp_rows(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Cubic-spline values of slice `rows[q]` at positions `u[q]`; 0 outside."""
@@ -698,7 +711,7 @@ def density_from_tomogram(
     within that step of pi/h.  The meta reports `mu_band`, `mu_edge_ratio`
     (the largest |K| on the band's edge rows over the peak) and
     `accuracy_warning`, set when E is still above the threshold at the
-    capped band.
+    capped band; `refuse_unresolved` turns it into an error.
 
     The mu quadrature is a trapezoid sum of step `mu_step`, which folds the
     state at sigma/2 +- 2 pi/mu_step onto rho at sigma/2.  The default 0.05
@@ -751,6 +764,24 @@ def density_from_tomogram(
             "mu_band": float(band),
         },
     )
+
+
+def refuse_unresolved(tomo: Tomogram, meta: dict) -> None:
+    """Raise InvalidInputError when an inverse transform of `tomo` with
+    this meta set accuracy_warning, naming the cause: the slice
+    characteristics stay above MU_EDGE_THRESHOLD of their peak out to the
+    mu band's cap min(pi/h, MU_BAND_MAX), and a slice sampled at X step h
+    has a characteristic of period 2 pi/h in frequency, known only out to
+    pi/h."""
+    if meta["accuracy_warning"]:
+        h = tomo.x_grid.step
+        raise InvalidInputError(
+            f"inverse transform unresolved: the slice characteristics stay above "
+            f"{MU_EDGE_THRESHOLD:g} of their peak out to the mu band's cap {meta['mu_band']:.3g} "
+            f"(pi/h = {np.pi / h:.3g} for the X step h = {h:.3g}, past which each slice characteristic "
+            f"repeats with period 2 pi/h = {2.0 * np.pi / h:.3g}; MU_BAND_MAX = {MU_BAND_MAX:g}); "
+            f"a finer X grid avoids this"
+        )
 
 
 def optical_slice(tomo: Tomogram, phi: float) -> np.ndarray:

@@ -377,17 +377,32 @@ def test_reconstruct_subcommand(tmp_path, capsys):
 
 
 def test_reconstruct_sidecar_carries_inverse_diagnostics(tmp_path, capsys):
-    base = tmp_path / "t.csv"
-    assert run(["tomogram", "--state", "gaussian:1,0.5,0.3", "-o", str(base)] + FAST, capsys)[0] == EXIT_OK
-    argv = ["reconstruct", str(base), "-o", str(tmp_path / "rho.csv"), "--pos-count", "32"]
-    assert run(argv, capsys)[0] == EXIT_OK
-    meta = json.loads(tio.meta_path_for(tmp_path / "rho.real.csv").read_text())
-    rho = density_from_tomogram(tio.read_tomogram(base), RunConfig(pos_count=32).position_grid())
-    # the width-0.3 packet outruns FAST's pi/h = 11.2, so the band stops there and warns
-    assert rho.meta["mu_band"] == pytest.approx(np.pi / 0.28, rel=1e-12)
-    assert rho.meta["accuracy_warning"] is True and rho.meta["mu_edge_ratio"] > 1e-8
+    sidecars = {}
+    for spec in ("ho_ground", "gaussian:1,0.5,0.3"):
+        base = tmp_path / f"{spec}.csv"
+        assert run(["tomogram", "--state", spec, "-o", str(base)] + FAST, capsys)[0] == EXIT_OK
+        out = tmp_path / f"rho-{spec}.csv"
+        code, _, err = run(["reconstruct", str(base), "-o", str(out), "--pos-count", "32"], capsys)
+        rho = density_from_tomogram(tio.read_tomogram(base), RunConfig(pos_count=32).position_grid())
+        sidecars[spec] = (code, err, out, rho)
+    # the ground state's band, 8.6, lies inside FAST's pi/h = 11.2
+    code, _, out, rho = sidecars["ho_ground"]
+    assert code == EXIT_OK
+    meta = json.loads(tio.meta_path_for(out.with_name(out.stem + ".real.csv")).read_text())
+    assert rho.meta["accuracy_warning"] is False and rho.meta["mu_edge_ratio"] <= 1e-8
     for key in ("mu_band", "mu_edge_ratio", "accuracy_warning"):
         assert meta[key] == rho.meta[key]
+    # the width-0.3 packet outruns pi/h, so the band stops there and the
+    # command refuses as the Green route does, writing nothing; it once wrote
+    # the unresolved matrix and exited 0
+    code, err, out, rho = sidecars["gaussian:1,0.5,0.3"]
+    assert rho.meta["mu_band"] == pytest.approx(np.pi / 0.28, rel=1e-12)
+    assert rho.meta["accuracy_warning"] is True and rho.meta["mu_edge_ratio"] > 1e-8
+    assert code == EXIT_INVALID
+    message = json.loads(err.strip())["message"]
+    for part in ("unresolved", "cap 11.2", "pi/h = 11.2", "h = 0.28", "finer X grid"):
+        assert part in message
+    assert not list(tmp_path.glob("rho-gaussian*"))
 
 
 def test_green_evolve_sidecar_carries_diagnostics(tmp_path, capsys):

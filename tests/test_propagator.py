@@ -32,10 +32,13 @@ X_GRID = UniformGrid(-12.0, 12.0, 241)
 THETA_COUNT = 96
 
 
+def fresh_packet_tomogram():
+    return tomogram_from_wavefunction(make_state(GaussianPacket(1.0, 0.5, 1.0)), X_GRID, THETA_COUNT)
+
+
 @pytest.fixture(scope="module")
 def packet_tomogram():
-    psi = make_state(GaussianPacket(1.0, 0.5, 1.0))
-    return tomogram_from_wavefunction(psi, X_GRID, THETA_COUNT)
+    return fresh_packet_tomogram()
 
 
 def test_pullback_free_matches_schroedinger_evolution(packet_tomogram):
@@ -311,9 +314,10 @@ def test_compare_requires_matching_grids(packet_tomogram):
         compare_tomograms(packet_tomogram, shifted)
 
 
-def test_evolve_via_green_reaches_the_layers_the_benchmark_traces(packet_tomogram, monkeypatch):
+def test_evolve_via_green_reaches_the_layers_the_benchmark_traces(monkeypatch):
     # perfbench/spans.py rebinds these names in tomoprop.propagator and on
-    # GreenFunction, and reads these parameters and meta keys
+    # GreenFunction, and reads these parameters and meta keys.  A tomogram
+    # keeps its reconstruction, so only a fresh one reaches the inverse.
     calls = {"density": [], "forward": [], "green": 0}
 
     def density(*args, **kwargs):
@@ -342,7 +346,7 @@ def test_evolve_via_green_reaches_the_layers_the_benchmark_traces(packet_tomogra
     assert inspect.isfunction(evolve_via_green)
     assert evolve_via_green.__module__ == propagator.__name__
     assert list(inspect.signature(evolve_via_green).parameters) == ["tomo", "green", "t"]
-    evolve_via_green(packet_tomogram, GreenFunction.oscillator(), 0.7)
+    evolve_via_green(fresh_packet_tomogram(), GreenFunction.oscillator(), 0.7)
     [(arguments, given, rho)] = calls["density"]
     assert {"target_grid", "mu_step"} <= arguments.keys()
     # the frames counter reads the route's step from the call, and the
@@ -363,6 +367,69 @@ def test_green_route_carries_inverse_diagnostics(packet_tomogram):
     for key in ("mu_band", "mu_edge_ratio", "accuracy_warning"):
         assert evolved.meta[key] == rho.meta[key]
     assert evolved.meta["accuracy_warning"] is False
+
+
+def counting_input_half(monkeypatch):
+    """Count the calls of the Green route's two input stages, the inverse
+    transform and the spectral cut, as tomoprop.propagator makes them."""
+    calls = {"density": [], "cut": []}
+    density, cut = propagator.density_from_tomogram, propagator.spectral_components
+
+    def counting_density(tomo, *args, **kwargs):
+        calls["density"].append(tomo)
+        return density(tomo, *args, **kwargs)
+
+    def counting_cut(rho):
+        calls["cut"].append(rho)
+        return cut(rho)
+
+    monkeypatch.setattr(propagator, "density_from_tomogram", counting_density)
+    monkeypatch.setattr(propagator, "spectral_components", counting_cut)
+    return calls
+
+
+def test_green_route_reconstructs_a_tomogram_once(monkeypatch):
+    calls = counting_input_half(monkeypatch)
+    tomo = fresh_packet_tomogram()
+    general = GreenFunction.for_potential(Potential(0.5, 0.3))
+    evolve_via_green(tomo, GreenFunction.oscillator(), 0.7)
+    later = [evolve_via_green(tomo, general, 1.2), evolve_via_green(tomo, general, 0.0)]
+    assert len(calls["density"]) == 1 and len(calls["cut"]) == 1
+    # the kept input half gives what a fresh tomogram gives, byte for byte
+    for evolved, t in zip(later, (1.2, 0.0)):
+        fresh = evolve_via_green(fresh_packet_tomogram(), general, t)
+        assert evolved.values.tobytes() == fresh.values.tobytes()
+        assert evolved.meta == fresh.meta
+
+
+def test_kept_input_half_is_read_only():
+    tomo = fresh_packet_tomogram()
+    evolved = evolve_via_green(tomo, GreenFunction.free(), 0.9)
+    mean, cov, _ = vars(tomo)["green_moments"]
+    states, weights, meta = vars(tomo)["green_input"]
+    for array in (mean, cov, states, weights):
+        assert not array.flags.writeable
+    # the evolved meta is a copy of the kept one
+    evolved.meta["components"] = -1
+    assert meta["components"] == 1
+    assert evolve_via_green(tomo, GreenFunction.free(), 0.9).meta["components"] == 1
+
+
+def test_a_pullback_and_its_base_keep_separate_input_halves(monkeypatch):
+    calls = counting_input_half(monkeypatch)
+    base = fresh_packet_tomogram()
+    pulled = evolve_pullback(base, OSCILLATOR, 0.6)
+    for t in (0.9, 0.5):
+        for tomo in (base, pulled):
+            evolve_via_green(tomo, GreenFunction.free(), t)
+    assert [tomo is base for tomo in calls["density"]] == [True, False]
+    assert calls["density"][1] is pulled
+    # the oscillator carries <x> from 1 to cos 0.6 + 0.5 sin 0.6; the
+    # pullback's linear theta blend on 96 angles moves it by 1.3e-4
+    assert vars(base)["green_moments"][0][0] == pytest.approx(1.0, abs=1e-6)
+    expected = math.cos(0.6) + 0.5 * math.sin(0.6)
+    assert vars(pulled)["green_moments"][0][0] == pytest.approx(expected, abs=1e-3)
+    assert vars(base)["green_input"] is not vars(pulled)["green_input"]
 
 
 def test_green_route_reads_half_the_frames(monkeypatch):
@@ -445,13 +512,19 @@ def test_green_route_matches_the_flowed_gaussian_far_from_the_origin():
     assert np.abs(evolved.values - exact).max() < 1e-5
 
 
-def test_green_route_refuses_what_the_lattice_cannot_resolve():
+def test_green_route_refuses_what_the_lattice_cannot_resolve(monkeypatch):
     # the width-0.2 packet's slice characteristics are still at 4e-7 of their
     # peak at pi/h = 39.3 on the default lattice; a band capped there returned
     # 4.2e-2 against the pullback with only a warning in the meta
+    calls = counting_input_half(monkeypatch)
     tomo = tomogram_from_wavefunction(make_state("gaussian:0,0,0.2"))
-    with pytest.raises(InvalidInputError, match=r"unresolved.*pi/h = 39\.3"):
-        evolve_via_green(tomo, GreenFunction.oscillator(), 0.5)
+    messages = []
+    for t in (0.5, 0.9):  # the kept reconstruction refuses again, in the same words
+        with pytest.raises(InvalidInputError, match=r"unresolved.*pi/h = 39\.3") as refusal:
+            evolve_via_green(tomo, GreenFunction.oscillator(), t)
+        messages.append(str(refusal.value))
+    assert messages[0] == messages[1]
+    assert len(calls["density"]) == 1 and calls["cut"] == []
 
 
 def test_reconstructed_packet_keeps_one_component(default_packet_tomogram):
