@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalDomainError
 
-_OVERSAMPLE = 2.5
 MAX_FINE = 1 << 18
 
 
@@ -109,43 +108,60 @@ def fft_upsample(values, count: int, axis: int = -1) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-def fine_need(grid: UniformGrid, max_freq):
+def fine_need(grid: UniformGrid, max_freq, band):
     """The sample count over `grid`'s period that resolves phases up to
-    max_freq rad/unit, before rounding; works elementwise on arrays of rates."""
-    return grid.count * grid.step * max_freq * _OVERSAMPLE / (2.0 * np.pi)
+    max_freq rad/unit on samples that carry frequencies up to `band`,
+    before rounding: period (max_freq + band) / 2 pi.
+
+    By Poisson summation the trapezoid sum of a decaying integrand is
+    exact once 2 pi / step exceeds the integrand's whole band, here the
+    phase rate plus the samples' own, so no margin is added.  Works
+    elementwise on arrays of rates and bands.
+    """
+    return grid.count * grid.step * (max_freq + band) / (2.0 * np.pi)
 
 
-def fine_count(grid: UniformGrid, max_freq: float) -> int:
-    """Samples over `grid`'s period whose step resolves phases up to max_freq rad/unit.
+def fine_count(grid: UniformGrid, max_freq: float, band: float) -> int:
+    """Samples over `grid`'s period whose step resolves phases up to
+    max_freq rad/unit on samples of band `band` (`fine_need`).
 
-    `grid.count` when that suffices, else the need (`fine_need`) rounded up
-    by `next_fast_len`, so every FFT of the fine samples has only the
+    `grid.count` when that suffices, else the need rounded up by
+    `next_fast_len`, so every FFT of the fine samples has only the
     factors 2, 3, 5, 7 and 11.  Either way it is the smallest count at or
     above the need among `grid.count` and the 11-smooth counts above it, so
     one need exceeds another's count exactly when its own count is the
     larger.  A need above MAX_FINE (itself 11-smooth) raises
-    NumericalDomainError naming the need: it is refused, never capped, so
-    a caller can decide before allocating anything.
+    NumericalDomainError naming the rate, the band, the period and the
+    need: it is refused, never capped, so a caller can decide before
+    allocating anything.
     """
     n = grid.count
-    needed = int(np.ceil(fine_need(grid, max_freq)))
+    needed = int(np.ceil(fine_need(grid, max_freq, band)))
     if needed > MAX_FINE:
         raise NumericalDomainError(
-            f"phase rate {max_freq:.3g} on [{grid.lower:.3g}, {grid.upper:.3g}] needs {needed} "
-            f"fine samples, more than MAX_FINE = {MAX_FINE}"
+            f"phase rate {max_freq:.6g} plus band {band:.6g} over the period {n * grid.step:.6g} "
+            f"on [{grid.lower:.3g}, {grid.upper:.3g}] needs {needed} fine samples, "
+            f"more than MAX_FINE = {MAX_FINE}"
         )
     return n if needed <= n else next_fast_len(needed)
+
+
+def refine_count(grid: UniformGrid, max_freq: float) -> int:
+    """The fine count of `refine_samples`: samples on `grid` carry
+    frequencies up to pi / grid.step, and upsampling keeps that band, so
+    it is `fine_count(grid, max_freq, pi / grid.step)`, which refuses
+    counts above MAX_FINE."""
+    return fine_count(grid, max_freq, np.pi / grid.step)
 
 
 def refine_samples(grid: UniformGrid, values, max_freq: float, axis: int = -1):
     """FFT-upsample samples on `grid` so the step resolves phases up to max_freq rad/unit.
 
-    Returns (fine positions, fine values, fine step).  Valid because the
-    sampled functions decay below 1e-10 at the grid boundary, making the
-    periodic extension smooth.  The fine count comes from `fine_count`,
-    which refuses counts above MAX_FINE.
+    Returns (fine positions, fine values, fine step), at `refine_count`
+    samples.  Valid because the sampled functions decay below 1e-10 at the
+    grid boundary, making the periodic extension smooth.
     """
-    n_fine = fine_count(grid, max_freq)
+    n_fine = refine_count(grid, max_freq)
     if n_fine == grid.count:
         return grid.points, values, grid.step
     step = grid.count * grid.step / n_fine

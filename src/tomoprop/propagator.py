@@ -17,7 +17,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .errors import InvalidInputError, NumericalDomainError
 from .greens import GreenFunction, Potential, classical_flow
-from .grids import UniformGrid, fine_count, trapezoid_weights
+from .grids import UniformGrid, refine_count, trapezoid_weights
 from .states import DensityMatrix, propagate_states
 from .tomography import (
     Tomogram,
@@ -147,7 +147,8 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
         green.check_time(t)
         m, c = green.flow(t)
         out_grid = moment_grid(m @ mean + c, m @ cov @ m.T)
-        fine_count(in_grid, green.phase_rate_bound(out_grid.reach, in_grid.reach, t))
+        # the count propagate_states will take, refused before the inverse runs
+        refine_count(in_grid, green.phase_rate_bound(out_grid.reach, in_grid.reach, t))
     states, weights, meta = tomo._kept("green_input", lambda: _input_state(tomo, in_grid))
     refuse_unresolved(tomo, meta)
     if t != 0:

@@ -211,10 +211,12 @@ def propagate_states(
 ) -> np.ndarray:
     """Rows psi_k sampled on `grid` to int G(x, y, t) psi_k(y) dy on `out_grid`.
 
-    y is FFT-upsampled to the kernel's phase rate over both grids, so the
-    quadrature resolves G; a rate that needs more than grids.MAX_FINE
-    samples raises NumericalDomainError before anything is allocated.  All
-    rows share each y-chunk of the kernel, which bounds its memory.
+    y is FFT-upsampled (`refine_samples`) until the step resolves the
+    kernel's phase rate over both grids plus the samples' own band pi / h,
+    where the trapezoid rule is exact up to the samples' tails; a count
+    above grids.MAX_FINE raises NumericalDomainError before anything is
+    allocated.  All rows share each y-chunk of the kernel, which bounds
+    its memory.
     """
     rate = green.phase_rate_bound(out_grid.reach, grid.reach, t)
     y, vals, step = refine_samples(grid, states, rate, axis=1)

@@ -327,7 +327,10 @@ def _slice_plan(grid: UniformGrid, x_grid: UniformGrid, theta_count: int, n_stat
 
     A unit of work is a pair of slices (j, n - j), or theta = 0 or pi/2
     alone (`_angle_pairs`), read from the position samples, side 0, or
-    from the momentum samples, side 1, at the fine count that side needs.
+    from the momentum samples, side 1, at the fine count that side needs
+    for its chirp's phase rate plus its samples' band: pi / h on the
+    position side, the state grid's x reach on the momentum side, since
+    psi~(p) = sum_j psi_j exp(-i p x_j) up to a constant.
     Each unit takes the side whose fine count is smaller, the position
     side on a tie; only the chosen side's count is checked against
     MAX_FINE, so a refusal means both sides need more.  |cos theta| and
@@ -346,16 +349,17 @@ def _slice_plan(grid: UniformGrid, x_grid: UniformGrid, theta_count: int, n_stat
     with np.errstate(divide="ignore"):  # nu = 0 (mu = 0) rules out the position (momentum) side
         x_rate = (mu * grid.reach + x_grid.reach) / nu
         p_rate = (nu * np.pi / grid.step + x_grid.reach) / mu
-    x_need, p_need = fine_need(grid, x_rate), fine_need(p_grid, p_rate)
+    x_band, p_band = np.pi / grid.step, grid.reach
+    x_need, p_need = fine_need(grid, x_rate, x_band), fine_need(p_grid, p_rate, p_band)
     units = []
     for group, xr, pr, xn, pn in zip(groups, x_rate, p_rate, x_need, p_need):
         # a fine count is the smallest allowed count at or above the need,
         # so the position side's count exceeds p_count exactly when its need does
         slices = tuple(k for k in group if k is not None)
-        if pn < xn and xn > (p_count := fine_count(p_grid, pr)):
+        if pn < xn and xn > (p_count := fine_count(p_grid, pr, p_band)):
             units.append((1, p_count, slices))
         else:
-            units.append((0, fine_count(grid, xr), slices))
+            units.append((0, fine_count(grid, xr, x_band), slices))
     units.sort(key=lambda u: u[:2])
     blocks = []
     lo = 0
@@ -482,34 +486,50 @@ def _chirp_z_power(
 
     Rows r < `kernels` sum `samples` with kernel r; the rows past them are
     partners, which sum `partner_samples` and share the kernel of row
-    r - kernels, so their nu must equal its nu.
+    r - kernels, so their nu must equal its nu.  When every partner's mu
+    equals its first row's too, as on the momentum side, the partners also
+    share that row's chirp and shift, which are then evaluated once.
     """
     n_y = y.size
     n_x = x_grid.count
     size = next_fast_len(n_y + n_x - 1)
-    a = x_grid.step * step / nu
+    pairs = mu.size - kernels
+    distinct = kernels if np.array_equal(mu[kernels:], mu[:pairs]) else mu.size
+    a = x_grid.step * step / nu[:distinct]
     k = np.arange(n_y) - n_y // 2
     # sample k sits at index k + n_y // 2 and kernel j = m - k at index
     # j + lag, so output m lands at index m + n_x // 2 + n_y - 1
     lag = n_y - 1 - n_y // 2 + n_x // 2
     j_kernel = np.arange(n_y + n_x - 1) - lag
-    kernel = np.fft.fft(np.exp(0.5j * np.multiply.outer(a[:kernels], j_kernel**2)), size, axis=1)
+    kernel = np.fft.fft(_chirp_kernels(a[:kernels], j_kernel), size, axis=1)
     x_centre = x_grid.points[n_x // 2]
-    arg = np.multiply.outer(0.5 * mu / nu, y**2)
-    arg -= np.multiply.outer(x_centre / nu, y)
+    arg = np.multiply.outer(0.5 * mu[:distinct] / nu[:distinct], y**2)
+    arg -= np.multiply.outer(x_centre / nu[:distinct], y)
     arg -= np.multiply.outer(0.5 * a, k**2)
     phase = step * np.exp(1j * arg)  # chirp times shift
     del arg
     # writing into the padded buffer leaves the caller's states untouched
     buf = np.zeros((mu.size, samples.shape[0], size), dtype=np.complex128)
     np.multiply(samples, phase[:kernels, None, :], out=buf[:kernels, :, :n_y])
-    np.multiply(partner_samples, phase[kernels:, None, :], out=buf[kernels:, :, :n_y])
-    del phase
+    partner_phase = phase[kernels:] if distinct > kernels else phase[:pairs]
+    np.multiply(partner_samples, partner_phase[:, None, :], out=buf[kernels:, :, :n_y])
+    del phase, partner_phase
     np.fft.fft(buf, axis=2, out=buf)
     buf[:kernels] *= kernel[:, None, :]
-    buf[kernels:] *= kernel[: mu.size - kernels, None, :]
+    buf[kernels:] *= kernel[:pairs, None, :]
     np.fft.ifft(buf, axis=2, out=buf)
     return np.abs(buf[:, :, n_y - 1 : n_y - 1 + n_x]) ** 2
+
+
+def _chirp_kernels(a: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """exp(i a_r j^2 / 2) for each a_r and integer lag j, shape (a.size, j.size).
+
+    j^2 is the same for j and -j, so each row is evaluated once on the lags
+    0 ... max |j| and gathered by |j|: the same floating-point operations
+    on the same operands, hence bit for bit the direct evaluation.
+    """
+    lags = np.arange(np.abs(j).max() + 1)
+    return np.exp(0.5j * np.multiply.outer(a, lags**2))[:, np.abs(j)]
 
 
 def _normalize_slices(values: np.ndarray, x_step: float) -> np.ndarray:

@@ -234,9 +234,9 @@ def test_near_zero_time_exits_4(tmp_path, capsys, argv):
 
 def test_green_route_near_a_caustic_exits_4_before_allocating(tmp_path, capsys):
     # at t = pi - 1e-4 the oscillator kernel's phase rate over the packet's
-    # grids needs about 9.3e5 fine samples, past MAX_FINE = 2^18; the route
-    # refuses before the inverse transform, so nothing near the 30 MB the two
-    # upsampled components would take is ever allocated
+    # grids needs about 3.7e5 fine samples, past MAX_FINE = 2^18; the route
+    # refuses before the inverse transform, so nothing near the 6 MB each
+    # upsampled component would take is ever allocated
     import tracemalloc
 
     argv = ["evolve", "--state", "gaussian:1,0.5,1", "--potential", "harmonic", "--route", "green",
@@ -249,7 +249,7 @@ def test_green_route_near_a_caustic_exits_4_before_allocating(tmp_path, capsys):
         tracemalloc.stop()
     assert code == EXIT_DOMAIN
     message = json.loads(err.strip())["message"]
-    assert "934264 fine samples" in message and "MAX_FINE = 262144" in message
+    assert "373724 fine samples" in message and "MAX_FINE = 262144" in message
     assert peak < 262144 * 16
     assert not (tmp_path / "e.csv").exists()
 

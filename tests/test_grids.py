@@ -107,7 +107,7 @@ def test_refine_samples_resolves_requested_frequency():
     values = np.exp(-grid.points**2)
     y, fine, step = refine_samples(grid, values, 40.0)
     assert y.size == fine.size and y[0] == grid.lower
-    assert 2.0 * np.pi / step >= 2.5 * 40.0
+    assert 2.0 * np.pi / step >= 40.0 + np.pi / grid.step
     assert np.abs(fine - np.exp(-y**2)).max() < 1e-10
     assert refine_samples(grid, values, 1.0)[1] is values
 
@@ -121,15 +121,16 @@ def _is_11_smooth(n):
 
 def test_fine_count_is_fft_friendly():
     grid = UniformGrid(-12.0, 12.0, 512)
+    band = np.pi / grid.step
     for max_freq in np.geomspace(1.0, 2.0e4, 200):
-        count = fine_count(grid, max_freq)
-        needed = grid.count * grid.step * max_freq * 2.5 / (2.0 * np.pi)
+        count = fine_count(grid, max_freq, band)
+        needed = grid.count * grid.step * (max_freq + band) / (2.0 * np.pi)
         if np.ceil(needed) <= grid.count:
             assert count == grid.count
         else:
             assert needed <= count and _is_11_smooth(count)
     with pytest.raises(NumericalDomainError, match=f"more than MAX_FINE = {MAX_FINE}"):
-        fine_count(grid, 1.0e6)
+        fine_count(grid, 1.0e6, band)
 
 
 def test_next_fast_len_matches_scipy():

@@ -20,6 +20,7 @@ from tomoprop.tomography import (
     _BLOCK_BYTES,
     _angle_pairs,
     _block_bytes,
+    _chirp_kernels,
     _lagrange_weights,
     _slice_characteristic,
     _slice_plan,
@@ -673,11 +674,13 @@ def test_slice_plan_reads_every_slice_once_within_the_block_budget(spec_grid, th
 
 
 def test_forward_transform_refuses_only_when_both_sides_exceed_max_fine():
-    # h = 0.005 over [-600, 600]: slice 39 needs 364395 fine samples from the
-    # position samples and 263409 from the momentum samples over [-pi/h, pi/h],
-    # both past MAX_FINE = 262144; the refusal names the smaller need
-    with pytest.raises(NumericalDomainError, match=r"on \[-628, 628\] needs 263409 fine samples"):
-        _slice_plan(UniformGrid(-600.0, 600.0, 240001), DEFAULT_X_GRID, DEFAULT_THETA_COUNT, 1)
+    # h = 0.005 over [-600, 600] fits: no slice needs more than 242550 fine samples.
+    # At h = 0.002 slice 1 needs 7018164 fine samples from the position samples
+    # and 320711 from the momentum samples over [-pi/h, pi/h], both past
+    # MAX_FINE = 262144; the refusal names the smaller need
+    _slice_plan(UniformGrid(-600.0, 600.0, 240001), DEFAULT_X_GRID, DEFAULT_THETA_COUNT, 1)
+    with pytest.raises(NumericalDomainError, match=r"on \[-1.57e\+03, 1.57e\+03\] needs 320711 fine samples"):
+        _slice_plan(UniformGrid(-600.0, 600.0, 600001), DEFAULT_X_GRID, DEFAULT_THETA_COUNT, 1)
 
 
 def test_forward_transform_matches_dense_sum_near_nu_zero():
@@ -746,6 +749,44 @@ def test_forward_transform_keeps_its_ffts_short():
         np.fft.fft, np.fft.ifft = fft, ifft
     assert max(lengths) <= 1024
     assert len(lengths) < 362
+
+
+def test_forward_transform_evaluates_each_chirp_once():
+    # on the packet's 35-point Green output grid (oscillator, t = 0.7) each
+    # kernel is evaluated on its lags 0 ... max |j| alone, and each distinct
+    # chirp-and-shift row once: a momentum-side partner reuses its first row's
+    from tomoprop.greens import GreenFunction, Potential
+    from tomoprop.propagator import moment_grid
+
+    m, c = GreenFunction.for_potential(Potential(0.0, 0.5)).flow(0.7)
+    mean, cov = np.array([1.0, 0.5]), np.diag([0.5, 0.5])
+    grid = moment_grid(m @ mean + c, m @ cov @ m.T)
+    assert grid.count == 35
+    states = np.array([make_state(spec, grid).values for spec in ("gaussian:1,0.5,1", "ho:1")])
+    n_x = DEFAULT_X_GRID.count
+    expected = 0
+    for side, count, rows, kernels in _slice_plan(grid, DEFAULT_X_GRID, DEFAULT_THETA_COUNT, 2):
+        max_lag = max(n_x - 1 - n_x // 2 + count // 2, n_x // 2 + count - 1 - count // 2)
+        distinct = kernels if side == 1 else len(rows)
+        expected += kernels * (max_lag + 1) + distinct * count + side * count  # + psi~'s phases
+    evaluated = []
+
+    def counted(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            evaluated.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    exp = np.exp
+    np.exp = counted
+    try:
+        _transform_state_batch(grid, states, np.array([0.9, 0.1]), DEFAULT_X_GRID, DEFAULT_THETA_COUNT)
+    finally:
+        np.exp = exp
+    assert sum(evaluated) == expected
+
+    a = np.concatenate([-np.geomspace(1e-4, 3.0, 9), np.geomspace(1e-4, 3.0, 9)])
+    j = np.arange(count + n_x - 1) - (count - 1 - count // 2 + n_x // 2)
+    assert np.array_equal(_chirp_kernels(a, j), np.exp(0.5j * np.multiply.outer(a, j**2)))
 
 
 def spline_evaluate(tomo, X, mu, nu):
