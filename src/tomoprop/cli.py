@@ -17,7 +17,6 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import io as tio
-from .blas import one_blas_thread
 from .errors import InvalidInputError, NumericalDomainError, TomopropError
 from .greens import FREE, OSCILLATOR, GreenFunction, Potential
 from .grids import MAX_FINE, UniformGrid
@@ -302,9 +301,6 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# a short process starts with OpenBLAS's worker idle; waking it cost more than it
-# saved at 97 and at 512 position points (blas.py)
-@one_blas_thread()
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     config.validate_matrices()

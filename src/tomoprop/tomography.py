@@ -434,7 +434,7 @@ def _transform_state_batch(
             partner_samples = samples.conj()
             mu, nu = sin[rows], -cos[rows]
             mu[kernels:], nu[kernels:] = mu[:pairs], nu[:pairs]  # (mu', -nu') is conj(psi~) at (mu', nu')
-        power = _chirp_z_power(samples, partner_samples, y, step, mu, nu, kernels, x_grid)
+        power = _chirp_z_power(samples, partner_samples, y, step, mu, nu, kernels, x_grid, side == 1)
         out[rows] = weights @ power / (2.0 * np.pi * np.abs(nu))[:, None]
     return out
 
@@ -480,21 +480,22 @@ def _chirp_z_power(
     nu: np.ndarray,
     kernels: int,
     x_grid: UniformGrid,
+    shared_phase: bool,
 ) -> np.ndarray:
     """|sum_k step s[k] exp(i mu_r y_k^2/(2 nu_r) - i X y_k/nu_r)|^2 for every
     row r and state on the X lattice, shape (rows, n_states, n_x).
 
     Rows r < `kernels` sum `samples` with kernel r; the rows past them are
     partners, which sum `partner_samples` and share the kernel of row
-    r - kernels, so their nu must equal its nu.  When every partner's mu
-    equals its first row's too, as on the momentum side, the partners also
-    share that row's chirp and shift, which are then evaluated once.
+    r - kernels, so their nu must equal its nu.  With `shared_phase` every
+    partner's mu equals its first row's too, as on the momentum side, and
+    the partners also share that row's chirp and shift, evaluated once.
     """
     n_y = y.size
     n_x = x_grid.count
     size = next_fast_len(n_y + n_x - 1)
     pairs = mu.size - kernels
-    distinct = kernels if np.array_equal(mu[kernels:], mu[:pairs]) else mu.size
+    distinct = kernels if shared_phase else mu.size
     a = x_grid.step * step / nu[:distinct]
     k = np.arange(n_y) - n_y // 2
     # sample k sits at index k + n_y // 2 and kernel j = m - k at index
@@ -511,7 +512,7 @@ def _chirp_z_power(
     # writing into the padded buffer leaves the caller's states untouched
     buf = np.zeros((mu.size, samples.shape[0], size), dtype=np.complex128)
     np.multiply(samples, phase[:kernels, None, :], out=buf[:kernels, :, :n_y])
-    partner_phase = phase[kernels:] if distinct > kernels else phase[:pairs]
+    partner_phase = phase[:pairs] if shared_phase else phase[kernels:]
     np.multiply(partner_samples, partner_phase[:, None, :], out=buf[kernels:, :, :n_y])
     del phase, partner_phase
     np.fft.fft(buf, axis=2, out=buf)

@@ -577,9 +577,10 @@ def dense_transform_batch(grid, states, weights, x_grid, theta_count, rows=None)
     """The forward sum evaluated densely from the position samples on the
     slices `rows` of angle_grid(theta_count), by default every slice but
     theta = 0, where nu = 0 leaves the position-side sum undefined: sum_k
-    step fine_k exp(i mu y_k^2/(2 nu) - i X y_k/nu) on a grid refined to the
-    position side's phase rate, squared and weighted as in
-    `_transform_state_batch`.  Slices that the transform reads from the
+    step fine_k exp(i mu y_k^2/(2 nu) - i X y_k/nu) on a grid refined to 2.5
+    times the position side's phase rate, a margin of its own so that the
+    reference does not share the fine-count rule it checks, squared and
+    weighted as in `_transform_state_batch`.  Slices that the transform reads from the
     momentum samples are checked against an independent sum."""
     rows = range(1, theta_count) if rows is None else rows
     theta = angle_grid(theta_count).points
@@ -590,7 +591,7 @@ def dense_transform_batch(grid, states, weights, x_grid, theta_count, rows=None)
     for r, j in enumerate(rows):
         mu, nu = np.cos(theta[j]), np.sin(theta[j])
         max_freq = (abs(mu) * ymax + xabs) / abs(nu)
-        y, fine, step = refine_samples(grid, states, max_freq, axis=1)
+        y, fine, step = refine_samples(grid, states, 2.5 * max_freq, axis=1)
         chirped = fine * np.exp(0.5j * mu * y**2 / nu) * step
         amp = np.zeros((states.shape[0], X.size), dtype=np.complex128)
         for lo in range(0, y.size, 1 << 13):
