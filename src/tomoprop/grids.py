@@ -280,11 +280,21 @@ def eval_spline(table: np.ndarray, rows, q: np.ndarray, lower: float, step: floa
     `table` holds m splines from cubic_spline_coeffs in segment-major
     order, shape (m, n - 1, 4), so one `np.take` fetches a whole cubic;
     `rows` and `q` broadcast against each other, and each q is read from
-    the spline its row names, at their broadcast shape.
+    the spline its row names, at their broadcast shape.  The segment, the
+    offset in it and the inside mask are computed once, at q's own shape,
+    so k sets of rows stacked on a leading axis, shape (k, ...), read k
+    splines at the same q off one lookup, each with the bits of its own
+    call.
     """
     n_seg = table.shape[1]
     seg = np.clip(np.floor((q - lower) / step), 0, n_seg - 1).astype(int)
     c = np.take(table.reshape(-1, 4), rows * n_seg + seg, axis=0)
     t = q - (lower + seg * step)
-    out = ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
+    # Horner, ((c0 t + c1) t + c2) t + c3, in place
+    out = c[..., 0] * t
+    out += c[..., 1]
+    out *= t
+    out += c[..., 2]
+    out *= t
+    out += c[..., 3]
     return np.where((q >= lower) & (q <= upper), out, 0.0)

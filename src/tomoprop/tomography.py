@@ -69,7 +69,11 @@ class Tomogram:
     `_kept` in two entries: the moments and their moment grid on its first
     call, the reconstruction's kept eigenvectors, weights and meta once its
     refusals have passed, 16 components n_grid bytes (576 B for the
-    default packet's one component on 36 points).
+    default packet's one component on 36 points).  A tomogram that serves
+    as a pullback base also keeps, with `_kept`, the read-only stack of its
+    lattice frames that `with_frame_map` maps, 24 n_theta n_x bytes
+    (1.45 MiB on the default lattice), so every pullback in a chain shares
+    one.
     """
 
     x_grid: UniformGrid
@@ -172,20 +176,21 @@ class Tomogram:
             kept[name] = build()
         return kept[name]
 
-    def _interp_rows(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Cubic-spline values of slice `rows[q]` at positions `u[q]`; 0 outside."""
-        g = self.x_grid
-        return eval_spline(self._segment_coeffs, rows, u, g.lower, g.step, g.upper)
-
     def _evaluate_block(self, X: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
         """`evaluate` of this lattice tomogram on a block of frames with s > 0:
-        mu and nu broadcast to X's shape, and their angles fold at their own."""
+        mu and nu broadcast to X's shape, and their angles fold at their own.
+
+        Both bracketing slices are read at u off one segment lookup; only
+        the frames whose j1 wraps across theta = pi read it again, at -u.
+        """
         s = np.hypot(mu, nu)
         flip, j0, j1, frac, wrap = _fold_frames(mu, nu, self.theta_count)
         u = np.where(flip, -X, X) / s
-        u1 = np.where(wrap, -u, u)
-        v0 = self._interp_rows(j0, u)
-        v1 = self._interp_rows(j1, u1)
+        g = self.x_grid
+        v0, v1 = eval_spline(self._segment_coeffs, np.stack((j0, j1)), u, g.lower, g.step, g.upper)
+        if wrap.any():
+            wrapped = np.broadcast_to(wrap, u.shape)
+            v1[wrapped] = eval_spline(self._segment_coeffs, 0, -u[wrapped], g.lower, g.step, g.upper)
         return np.maximum((1.0 - frac) * v0 + frac * v1, 0.0) / s
 
     def evaluate(self, X, mu, nu):
@@ -244,21 +249,16 @@ class Tomogram:
         InvalidInputError.  So every lattice row j flows to one (mu', nu'),
         read from the row's first frame, and one `base.evaluate` of X' of
         shape (n_theta, n_x) against mu', nu' of shape (n_theta, 1) folds
-        n_theta angles.
+        n_theta angles.  The lattice frames are the base's kept stack
+        (`_lattice_frames`), built on the first pullback of that base.
         """
         matrix = np.asarray(matrix, dtype=float)
         if np.any(matrix[1:, 0] != 0):
             raise InvalidInputError("a frame map must not mix X into (mu, nu): its [1:, 0] must be 0")
         base = self.base if self.base is not None else self
         composed = (self.frame_map @ matrix) if self.frame_map is not None else matrix
-        n_theta, n_x = self.theta_count, self.x_grid.count
-        theta = self.theta_grid.points
-        q = composed @ np.stack([
-            np.tile(self.x_grid.points, n_theta),
-            np.repeat(np.cos(theta), n_x),
-            np.repeat(np.sin(theta), n_x),
-        ])
-        X, mu, nu = q.reshape(3, n_theta, n_x)
+        frames = base._kept("lattice_frames", lambda: _lattice_frames(base.x_grid, base.theta_count))
+        X, mu, nu = (composed @ frames).reshape(3, self.theta_count, self.x_grid.count)
         vals = base.evaluate(X, mu[:, :1], nu[:, :1])
         return Tomogram(
             x_grid=self.x_grid,
@@ -268,6 +268,20 @@ class Tomogram:
             frame_map=composed,
             meta=dict(self.meta),
         )
+
+
+def _lattice_frames(x_grid: UniformGrid, theta_count: int) -> np.ndarray:
+    """The lattice frames (X, mu, nu) = (x_k, cos theta_j, sin theta_j), row
+    j then column k, as a read-only (3, n_theta n_x) stack."""
+    theta = angle_grid(theta_count).points
+    n_x = x_grid.count
+    frames = np.stack([
+        np.tile(x_grid.points, theta_count),
+        np.repeat(np.cos(theta), n_x),
+        np.repeat(np.sin(theta), n_x),
+    ])
+    frames.setflags(write=False)
+    return frames
 
 
 def _as_rows(a: np.ndarray, dims: tuple) -> np.ndarray:

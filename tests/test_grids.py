@@ -223,6 +223,14 @@ def test_eval_spline_matches_ppoly_and_vanishes_outside():
     want = expected[:3000].reshape(6, 500, 3)[np.arange(6), :, rows2.ravel()]
     assert np.abs(got2 - want).max() < 1e-15
     assert got2.tobytes() == eval_spline(table, rows2.repeat(500), q2.ravel(), x[0], grid.step, x[-1]).tobytes()
+    # rows stacked on a leading axis read their splines at the shared q off
+    # one lookup, each with the bits of its own call
+    for one, rows_k, q_k in ((got, rows, q), (got2, rows2, q2)):
+        stacked = np.stack([rows_k, (rows_k + 1) % 3])
+        both = eval_spline(table, stacked, q_k, x[0], grid.step, x[-1])
+        assert both.shape == (2,) + q_k.shape
+        assert both[0].tobytes() == one.tobytes()
+        assert both[1].tobytes() == eval_spline(table, stacked[1], q_k, x[0], grid.step, x[-1]).tobytes()
 
 
 def test_cubic_spline_reproduces_cubics():

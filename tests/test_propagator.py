@@ -173,6 +173,31 @@ def test_materialized_pullback_matches_pointwise_reads_bytewise(route, theta_cou
     assert twice.values.tobytes() == pointwise_pullback(once, flow(1.3)).tobytes()
 
 
+def test_lattice_frame_stack_is_built_once_per_base(packet_tomogram, monkeypatch):
+    built = []
+    lattice_frames = tomography._lattice_frames
+
+    def counting_frames(x_grid, theta_count):
+        built.append((x_grid, theta_count))
+        return lattice_frames(x_grid, theta_count)
+
+    monkeypatch.setattr(tomography, "_lattice_frames", counting_frames)
+    # a base with nothing kept yet
+    tomo = tomography.Tomogram(packet_tomogram.x_grid, packet_tomogram.theta_count, packet_tomogram.values)
+    first = evolve_pullback(tomo, OSCILLATOR, 0.7)
+    second = evolve_pullback(tomo, FREE, 1.2)
+    chained = evolve_pullback(first, Potential(0.5, 0.3), 0.4)
+    assert built == [(X_GRID, THETA_COUNT)]
+    stacks = [
+        name for name, kept in tomo.__dict__.items()
+        if isinstance(kept, np.ndarray) and kept.shape == (3, THETA_COUNT * X_GRID.count)
+    ]
+    assert stacks == ["lattice_frames"]
+    assert not tomo.__dict__["lattice_frames"].flags.writeable
+    for pulled in (first, second, chained):
+        assert pulled.base is tomo and "lattice_frames" not in pulled.__dict__
+
+
 def test_materialization_folds_one_angle_per_lattice_row(packet_tomogram, monkeypatch):
     # perfbench's tomography.Tomogram.evaluate.frames counts the frames of
     # every evaluate call on a lattice tomogram, so a materialization must

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from tomoprop.errors import InvalidFrameError, InvalidInputError, NumericalDomainError
-from tomoprop.grids import UniformGrid, integrate_samples, refine_samples, trapezoid_weights
+from tomoprop.grids import UniformGrid, eval_spline, integrate_samples, refine_samples, trapezoid_weights
 from tomoprop.states import (
     DensityMatrix,
     GaussianPacket,
@@ -21,6 +23,7 @@ from tomoprop.tomography import (
     _angle_pairs,
     _block_bytes,
     _chirp_kernels,
+    _fold_frames,
     _lagrange_weights,
     _slice_characteristic,
     _slice_plan,
@@ -861,6 +864,49 @@ def test_evaluate_of_row_angles_matches_the_flat_call_bytewise(packet_tomogram, 
     assert got.shape == (rows, cols)
     flat = packet_tomogram.evaluate(X.ravel(), np.repeat(mu, cols), np.repeat(nu, cols))
     assert got.tobytes() == flat.tobytes()
+
+
+@functools.cache
+def packet_tomogram_at(theta_count):
+    return tomogram_from_wavefunction(make_state(GaussianPacket(1.0, 0.5, 1.0)), X_GRID, theta_count)
+
+
+def two_call_read(tomo, X, mu, nu):
+    """The lattice read as two plain eval_spline calls, slice j0 at u and j1
+    at u, or at -u where j1 wraps across theta = pi, blended linearly."""
+    s = np.hypot(mu, nu)
+    flip, j0, j1, frac, wrap = _fold_frames(mu, nu, tomo.theta_count)
+    u = np.where(flip, -X, X) / s
+    g = tomo.x_grid
+    v0 = eval_spline(tomo._segment_coeffs, j0, u, g.lower, g.step, g.upper)
+    v1 = eval_spline(tomo._segment_coeffs, j1, np.where(wrap, -u, u), g.lower, g.step, g.upper)
+    return np.maximum((1.0 - frac) * v0 + frac * v1, 0.0) / s
+
+
+@settings(max_examples=12, deadline=None)
+@given(theta_count=st.sampled_from([180, 181]), row_angles=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_evaluate_reads_both_slices_as_two_spline_calls_bytewise(theta_count, row_angles, seed):
+    # evaluate reads slices j0 and j1 off one segment lookup and re-reads
+    # only the wrapping frames; its bytes are those of two separate reads
+    tomo = packet_tomogram_at(theta_count)
+    rng = np.random.default_rng(seed)
+    d = np.pi / theta_count
+    count = 40 if row_angles else 2000
+    theta = np.concatenate([
+        rng.uniform(np.pi - d, np.pi, count // 4),  # last bracket: j1 wraps to slice 0
+        rng.uniform(2.0 * np.pi - d, 2.0 * np.pi, count // 4),  # wraps and flips
+        rng.uniform(0.0, 2.0 * np.pi, count - 2 * (count // 4)),
+    ])
+    scale = rng.uniform(0.4, 2.5, count)
+    shape = (count, 1) if row_angles else (count,)
+    mu, nu = (scale * np.cos(theta)).reshape(shape), (scale * np.sin(theta)).reshape(shape)
+    u = rng.uniform(-13.0, 13.0, (count, 50) if row_angles else count)  # past the lattice's reach of 10 too
+    X = np.hypot(mu, nu) * u
+    flip, _, _, _, wrap = _fold_frames(mu, nu, theta_count)
+    assert wrap.any() and (wrap & flip).any() and (wrap & ~flip).any()
+    got = tomo.evaluate(X, mu, nu)
+    assert got.shape == X.shape
+    assert got.tobytes() == two_call_read(tomo, X, mu, nu).tobytes()
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.7, np.pi, 4.1, 2.0 * np.pi - 1e-3])
