@@ -50,11 +50,12 @@ _ROUTES = ("pullback", "green", "pde")
 # Grid sizes are bounded by a memory budget for one run.  Peak bytes per
 # X-theta lattice point and per pos_count^2 matrix entry were measured with
 # tracemalloc on 63k-252k point lattices and 512-2048 point position grids:
-# `evolve --route green` takes about 248 B a point at 351 x 180 and 212 at 701 x 360
+# `evolve --route green` takes about 243 B a point at 351 x 180 and 212 at 701 x 360
 # (the inverse transform's table, which the tomogram keeps through the forward
 # transform, dominates, and its 4-point theta read on 8192-frame chunks adds
 # nothing measurable; tests/test_cli.py holds it under BYTES_PER_LATTICE_POINT),
-# `--route pullback` and `--route pde` about 120 B at 351 x 180 and 113 at 701 x 360,
+# `--route pullback` and `--route pde` about 140 B at 351 x 180 and 137 at 701 x 360
+# (the X table that `Tomogram.evaluate` reads, 64 B a point, and its build),
 # `reconstruct` about 90 B an entry and `green` 40 B.
 # The bounds round those up and are applied before any numerics: the lattice
 # bound by `RunConfig.validate`, the matrix bound by `RunConfig.validate_matrices`
@@ -321,6 +322,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if not 0 <= args.tol < math.inf:
+        raise InvalidInputError(f"--tol must be non-negative and finite, got {args.tol!r}")
     a = tio.read_tomogram(args.inputs[0])
     b = tio.read_tomogram(args.inputs[1])
     report = compare_tomograms(a, b)

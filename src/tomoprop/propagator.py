@@ -180,8 +180,8 @@ class KernelFourierQuery:
     def __post_init__(self):
         if self.k == 0:
             raise InvalidInputError("kernel Fourier variable k must be nonzero")
-        if self.damping <= 0:
-            raise InvalidInputError("kernel damping must be positive")
+        if not 0 < self.damping < np.inf:
+            raise InvalidInputError(f"kernel damping must be positive and finite, got {self.damping!r}")
 
 
 def kernel_fourier(

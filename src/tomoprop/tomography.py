@@ -17,8 +17,8 @@ import numpy as np
 from .errors import InvalidFrameError, InvalidInputError
 from .grids import (
     UniformGrid,
-    cubic_spline_coeffs,
     eval_spline,
+    fft_upsample,
     fine_count,
     fine_need,
     integrate_samples,
@@ -35,6 +35,7 @@ MU_BAND_MAX = 40.0  # largest mu band of density_from_tomogram
 MU_EDGE_THRESHOLD = 1e-8  # envelope / peak ratio of the slice characteristics that sets the mu band
 _BLOCK_BYTES = 1 << 20  # temporaries one block of _transform_state_batch may hold (_block_bytes)
 NEGATIVE_TOL = 1e-10  # most negative value a Tomogram accepts (and clips to 0)
+_X_UPSAMPLE = 2  # fine points per X step of the table `evaluate` reads (Tomogram._segment_coeffs)
 DEFAULT_X_GRID = UniformGrid(-14.0, 14.0, 351)
 DEFAULT_THETA_COUNT = 180
 CONVENTION_VERSION = "tomoprop-conventions-1"
@@ -59,21 +60,17 @@ class Tomogram:
 
     `values` is read-only, so the three items built from it on first use
     and kept for the tomogram's life cannot go stale: `_segment_coeffs`,
-    the X spline that `evaluate` reads, 32 n_theta (n_x - 1) bytes;
+    the X table that `evaluate` reads, 64 n_theta (n_x - 1) bytes;
     `_characteristic_table`, the slice characteristics that the inverse
     transform reads, 16 n_theta (pad/2 + 4) bytes with pad the smallest
-    power of two >= 16 n_x (2.0 MB and 11.8 MB on the default 351 x 180
+    power of two >= 16 n_x (4.0 MB and 11.8 MB on the default 351 x 180
     lattice), together with the frequency past which they all stay below
     MU_EDGE_THRESHOLD of their peak, which sets the inverse's mu band; and
     the Green route's input half, which `evolve_via_green` keeps with
     `_kept` in two entries: the moments and their moment grid on its first
     call, the reconstruction's kept eigenvectors, weights and meta once its
     refusals have passed, 16 components n_grid bytes (576 B for the
-    default packet's one component on 36 points).  A tomogram that serves
-    as a pullback base also keeps, with `_kept`, the read-only stack of its
-    lattice frames that `with_frame_map` maps, 24 n_theta n_x bytes
-    (1.45 MiB on the default lattice), so every pullback in a chain shares
-    one.
+    default packet's one component on 36 points).
     """
 
     x_grid: UniformGrid
@@ -109,10 +106,29 @@ class Tomogram:
 
     @cached_property
     def _segment_coeffs(self) -> np.ndarray:
-        """Spline table for eval_spline, (n_theta, n_x - 1, 4): the cubic of slice j on segment seg."""
-        # one not-a-knot cubic spline per theta slice, vectorized over slices
-        c = cubic_spline_coeffs(self.values.T, self.x_grid.step)  # (4, n_x - 1, n_theta)
-        return np.ascontiguousarray(c.transpose(2, 1, 0))
+        """The X table that `evaluate` reads with eval_spline at the step
+        d = h / _X_UPSAMPLE, shape (n_theta, _X_UPSAMPLE (n_x - 1), 4).
+
+        Each slice is taken as band-limited and periodic over its n_x
+        samples and FFT-upsampled to _X_UPSAMPLE n_x points, which keeps
+        the stored samples as every _X_UPSAMPLE-th point.  Segment i of
+        slice j holds the 4-point Lagrange cubic through fine points
+        i - 1 ... i + 2 (wrapping at the ends), the one `_lagrange_weights`
+        gives, as Horner coefficients in the offset from fine point i.
+        """
+        fine = fft_upsample(self.values, _X_UPSAMPLE * self.x_grid.count, axis=1)
+        n_seg = fine.shape[1] - _X_UPSAMPLE
+        # the taps -1, 0, 1, 2 of every segment, views of the fine points
+        # preceded by the last one: only segment 0's first tap wraps
+        fine = np.concatenate((fine[:, -1:], fine), axis=1)
+        ym, y0, y1, y2 = (fine[:, k : k + n_seg] for k in range(4))
+        d = self.x_grid.step / _X_UPSAMPLE
+        c = np.empty(y0.shape + (4,))
+        c[..., 0] = (y2 - ym + 3.0 * (y0 - y1)) / (6.0 * d**3)
+        c[..., 1] = (ym + y1 - 2.0 * y0) / (2.0 * d**2)
+        c[..., 2] = (6.0 * y1 - 2.0 * ym - 3.0 * y0 - y2) / (6.0 * d)
+        c[..., 3] = y0
+        return c
 
     @cached_property
     def _characteristic_table(self):
@@ -187,10 +203,11 @@ class Tomogram:
         flip, j0, j1, frac, wrap = _fold_frames(mu, nu, self.theta_count)
         u = np.where(flip, -X, X) / s
         g = self.x_grid
-        v0, v1 = eval_spline(self._segment_coeffs, np.stack((j0, j1)), u, g.lower, g.step, g.upper)
+        d = g.step / _X_UPSAMPLE
+        v0, v1 = eval_spline(self._segment_coeffs, np.stack((j0, j1)), u, g.lower, d, g.upper)
         if wrap.any():
             wrapped = np.broadcast_to(wrap, u.shape)
-            v1[wrapped] = eval_spline(self._segment_coeffs, 0, -u[wrapped], g.lower, g.step, g.upper)
+            v1[wrapped] = eval_spline(self._segment_coeffs, 0, -u[wrapped], g.lower, d, g.upper)
         return np.maximum((1.0 - frac) * v0 + frac * v1, 0.0) / s
 
     def evaluate(self, X, mu, nu):
@@ -199,7 +216,8 @@ class Tomogram:
 
         Uses the homogeneity law to rescale to the unit circle, the parity
         identity w(X, theta + pi) = w(-X, theta) to fold angles into
-        [0, pi), then interpolates (cubic in X, linear in theta).  The
+        [0, pi), then interpolates: 4-point Lagrange in X on the slices'
+        band-limited table (`_segment_coeffs`), linear in theta.  The
         angles are folded at the broadcast shape of (mu, nu) alone, before
         they meet X: X of shape (r, c) with mu and nu of shape (r, 1) folds
         r angles, not r c, and gives the same values as the flattened call.
@@ -207,14 +225,7 @@ class Tomogram:
         most 8192 frames, or in 8192-frame pieces of one row.
         """
         if self.base is not None:
-            q = self.frame_map @ np.stack(np.broadcast_arrays(
-                np.asarray(X, dtype=float),
-                np.asarray(mu, dtype=float),
-                np.asarray(nu, dtype=float),
-            )).reshape(3, -1)
-            shape = np.broadcast_shapes(np.shape(X), np.shape(mu), np.shape(nu))
-            out = self.base.evaluate(q[0], q[1], q[2])
-            return out.reshape(shape) if shape else float(out.reshape(()))
+            return self.base.evaluate(*_map_frames(self.frame_map, X, mu, nu))
 
         X = np.asarray(X, dtype=float)
         mu, nu = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(nu, dtype=float))
@@ -246,20 +257,18 @@ class Tomogram:
         Lattice values are materialized for export and norm checks; the
         evaluation path composes maps exactly.  A frame map never mixes X
         into (mu', nu'): a matrix whose [1:, 0] is not exactly zero raises
-        InvalidInputError.  So every lattice row j flows to one (mu', nu'),
-        read from the row's first frame, and one `base.evaluate` of X' of
-        shape (n_theta, n_x) against mu', nu' of shape (n_theta, 1) folds
-        n_theta angles.  The lattice frames are the base's kept stack
-        (`_lattice_frames`), built on the first pullback of that base.
+        InvalidInputError.  So `_map_frames` of the lattice's X, shape
+        (1, n_x), against its (mu, nu), shape (n_theta, 1), gives X' of
+        shape (n_theta, n_x) and one (mu', nu') per row, and one
+        `base.evaluate` folds n_theta angles.
         """
         matrix = np.asarray(matrix, dtype=float)
         if np.any(matrix[1:, 0] != 0):
             raise InvalidInputError("a frame map must not mix X into (mu, nu): its [1:, 0] must be 0")
         base = self.base if self.base is not None else self
         composed = (self.frame_map @ matrix) if self.frame_map is not None else matrix
-        frames = base._kept("lattice_frames", lambda: _lattice_frames(base.x_grid, base.theta_count))
-        X, mu, nu = (composed @ frames).reshape(3, self.theta_count, self.x_grid.count)
-        vals = base.evaluate(X, mu[:, :1], nu[:, :1])
+        theta = self.theta_grid.points[:, None]
+        vals = base.evaluate(*_map_frames(composed, self.x_grid.points, np.cos(theta), np.sin(theta)))
         return Tomogram(
             x_grid=self.x_grid,
             theta_count=self.theta_count,
@@ -270,18 +279,16 @@ class Tomogram:
         )
 
 
-def _lattice_frames(x_grid: UniformGrid, theta_count: int) -> np.ndarray:
-    """The lattice frames (X, mu, nu) = (x_k, cos theta_j, sin theta_j), row
-    j then column k, as a read-only (3, n_theta n_x) stack."""
-    theta = angle_grid(theta_count).points
-    n_x = x_grid.count
-    frames = np.stack([
-        np.tile(x_grid.points, theta_count),
-        np.repeat(np.cos(theta), n_x),
-        np.repeat(np.sin(theta), n_x),
-    ])
-    frames.setflags(write=False)
-    return frames
+def _map_frames(m: np.ndarray, X, mu, nu):
+    """The frames m @ (X, mu, nu) of a frame map m that never mixes X into
+    (mu', nu'), elementwise at the broadcast shape of the frames it reads:
+    X' = m00 X + m01 mu + m02 nu, mu' = m11 mu + m12 nu, nu' = m21 mu + m22 nu."""
+    X, mu, nu = (np.asarray(a, dtype=float) for a in (X, mu, nu))
+    return (
+        m[0, 0] * X + m[0, 1] * mu + m[0, 2] * nu,
+        m[1, 1] * mu + m[1, 2] * nu,
+        m[2, 1] * mu + m[2, 2] * nu,
+    )
 
 
 def _as_rows(a: np.ndarray, dims: tuple) -> np.ndarray:
@@ -301,9 +308,10 @@ def _fold_frames(mu: np.ndarray, nu: np.ndarray, n: int):
     `frac` of `j1`, and `wrap` (`j1` is slice 0 reached across theta = pi,
     so it too is read at -X).
     """
-    theta = np.arctan2(nu, mu)
-    tm = np.mod(theta, np.pi)
-    flip = np.round((theta - tm) / np.pi).astype(int) % 2 == 1
+    theta = np.arctan2(nu, mu)  # in [-pi, pi]
+    flip = (theta < 0) | (theta == np.pi)
+    # the bits of np.mod(theta, pi): theta + pi below 0, +0 at -pi, -0 and pi
+    tm = theta - flip * np.copysign(np.pi, theta)
     f = tm / (np.pi / n)
     j0 = np.minimum(f.astype(int), n - 1)
     frac = f - j0

@@ -227,6 +227,16 @@ def _symbolic_coefficients(alpha, beta):
     return sp.simplify(advection.coeff(dX, 1)), sp.simplify(advection.coeff(dmu, 1))
 
 
+# the potentials and times of criterion 9b, reused by criterion 10
+_PDE_CASES = (
+    (FREE, 0.7),
+    (OSCILLATOR, 1.2),
+    (Potential(1.0, 0.0), 0.9),
+    (Potential(0.0, -0.2), 0.9),
+    (Potential(0.5, 0.3), 0.9),
+)
+
+
 def test_criterion_9_pde_reduction_and_solve(packet_tomo):
     nu = sp.Symbol("nu")
     for alpha, beta in ((0, 0), (0, sp.Rational(1, 2)), (1, 0), (1, sp.Rational(3, 10))):
@@ -239,13 +249,7 @@ def test_criterion_9_pde_reduction_and_solve(packet_tomo):
     print("[PASS] criterion 9a (symbolic reduction oracle, 4 potentials): exact")
 
     worst = 0.0
-    for potential, t in (
-        (FREE, 0.7),
-        (OSCILLATOR, 1.2),
-        (Potential(1.0, 0.0), 0.9),
-        (Potential(0.0, -0.2), 0.9),
-        (Potential(0.5, 0.3), 0.9),
-    ):
+    for potential, t in _PDE_CASES:
         pde = reduce_evolution_equation(potential)
         via_pde = solve_characteristics(pde, packet_tomo, t)
         _EVOLVED.append(via_pde)
@@ -265,11 +269,30 @@ def test_criterion_9_pde_reduction_and_solve(packet_tomo):
     )
 
 
+def _off_unit_width_evolutions():
+    """Characteristics solves of packets narrower and wider than sigma = 1,
+    where the X interpolant's error is largest: criterion 9's packet at
+    sigma = 0.8 under its five potentials, and a sigma = 1.24 packet whose
+    pde route once read a slice mass of 1 + 1.14e-6."""
+    narrow = tomogram_from_wavefunction(
+        make_state(GaussianPacket(1.0, 0.5, 0.8)), DEFAULT_X_GRID, DEFAULT_THETA_COUNT
+    )
+    evolved = [solve_characteristics(reduce_evolution_equation(p), narrow, t) for p, t in _PDE_CASES]
+    wide = tomogram_from_wavefunction(
+        make_state("gaussian:-0.2618655204092435,-0.12550323441211764,1.24435024558391"),
+        DEFAULT_X_GRID,
+        DEFAULT_THETA_COUNT,
+    )
+    pde = reduce_evolution_equation(Potential(0.26551254521429213, 0.16548720938491043))
+    return evolved + [solve_characteristics(pde, wide, 0.62297237488719)]
+
+
 def test_criterion_10_conservation():
     assert _EVOLVED, "criteria 3-5 and 9 must run before the conservation check"
-    worst = max(float(np.abs(t.slice_norms() - 1.0).max()) for t in _EVOLVED)
+    evolved = _EVOLVED + _off_unit_width_evolutions()
+    worst = max(float(np.abs(t.slice_norms() - 1.0).max()) for t in evolved)
     report(
-        f"criterion 10 (slice-norm conservation over {len(_EVOLVED)} evolved tomograms)",
+        f"criterion 10 (slice-norm conservation over {len(evolved)} evolved tomograms)",
         worst,
         1e-6,
     )

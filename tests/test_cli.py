@@ -706,12 +706,42 @@ def test_untrusted_tomogram_files_exit_2(tmp_path, capsys, spoil, command):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--k", "1,abc"], ["--k", "nan"], ["--frame", "1,0,x,0"], ["--frame", "1,0,1"]]
+    "flags",
+    [
+        ["--k", "1,abc"],
+        ["--k", "nan"],
+        ["--frame", "1,0,x,0"],
+        ["--frame", "1,0,1"],
+        ["--t", "1", "--eps", "nan"],
+        ["--t", "1", "--eps", "inf"],
+        ["--t", "1", "--eps", "-1"],
+    ],
 )
 def test_malformed_kernel_flags_exit_2(tmp_path, capsys, flags):
-    code, _, err = run(["kernel", *flags, "-o", str(tmp_path / "s.csv")], capsys)
+    out = tmp_path / "s.csv"
+    code, _, err = run(["kernel", *flags, "-o", str(out)], capsys)
     assert code == EXIT_INVALID
     assert json.loads(err.strip())["code"] == EXIT_INVALID
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.5"])
+def test_non_finite_or_negative_tol_exits_2(tmp_path, capsys, tol):
+    # refused before either file is read, so a NaN never reaches the JSON report
+    a = tmp_path / "a.csv"
+    run(["tomogram", "-o", str(a)] + FAST, capsys)
+    report = tmp_path / "r.json"
+    code, out, err = run(["compare", str(a), str(a), "--tol", tol, "-o", str(report)], capsys)
+    assert code == EXIT_INVALID and out == ""
+    assert "--tol" in json.loads(err.strip())["message"]
+    assert not report.exists()
+
+
+def test_zero_tol_compares_exactly(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    run(["tomogram", "-o", str(a)] + FAST, capsys)
+    code, out, _ = run(["compare", str(a), str(a), "--tol", "0"], capsys)
+    assert code == EXIT_OK and json.loads(out) == {"l2": 0.0, "linf": 0.0, "tol": 0.0}
 
 
 def test_numerical_value_error_is_not_reported_as_invalid_input(monkeypatch, tmp_path):

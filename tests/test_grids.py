@@ -7,7 +7,6 @@ from tomoprop.errors import InvalidInputError, NumericalDomainError
 from tomoprop.grids import (
     MAX_FINE,
     UniformGrid,
-    cubic_spline_coeffs,
     eval_spline,
     fft_upsample,
     fine_count,
@@ -167,45 +166,14 @@ def _packets(x, centres, widths, wavenumbers):
     return np.exp(-((x[:, None] - centres) ** 2) / (2.0 * widths**2) + 1j * wavenumbers * x[:, None])
 
 
-@pytest.mark.parametrize(
-    "grid,columns,dtype",
-    [
-        (UniformGrid(-14.0, 14.0, 351), 180, float),  # a tomogram's slices
-        (UniformGrid(-12.0, 12.0 + 24.0 / 4095, 4096), 16, complex),  # the nu -> 0 limit states
-        (UniformGrid(-9.0, 13.0, 200), 3, float),  # off-centre
-        (UniformGrid(-1.0, 1.0, 9), 2, complex),  # odd count, few rows
-    ],
-    ids=["tomogram", "limit_states", "off_centre", "small"],
-)
-def test_cubic_spline_matches_scipy_not_a_knot(grid, columns, dtype):
-    from scipy.interpolate import CubicSpline, PPoly
-
-    rng = np.random.default_rng(grid.count)
-    x = grid.points
-    values = _packets(
-        x,
-        rng.uniform(x[0] + 0.3 * grid.span, x[-1] - 0.3 * grid.span, columns),
-        rng.uniform(0.05, 0.2, columns) * grid.span,
-        rng.uniform(-3.0, 3.0, columns) if dtype is complex else 0.0,
-    )
-    values = values if dtype is complex else values.real
-    coeffs = cubic_spline_coeffs(values, grid.step)
-    expected = CubicSpline(x, values, axis=0)
-    assert coeffs.shape == expected.c.shape and coeffs.dtype == expected.c.dtype
-    q = np.concatenate([rng.uniform(x[0], x[-1], 4000), x, x[:-1] + 0.5 * grid.step])
-    got = PPoly(coeffs, x)(q)
-    assert np.abs(got - expected(q)).max() < 1e-13
-    assert np.abs(got[4000:4000 + x.size] - values).max() < 1e-13  # interpolates the samples
-
-
 def test_eval_spline_matches_ppoly_and_vanishes_outside():
-    from scipy.interpolate import PPoly
+    from scipy.interpolate import CubicSpline, PPoly
 
     grid = UniformGrid(-9.0, 13.0, 200)
     x = grid.points
     rng = np.random.default_rng(5)
     values = _packets(x, np.array([-2.0, 4.0, 7.0]), np.array([1.0, 2.0, 1.5]), np.array([0.5, -1.0, 2.0]))
-    coeffs = cubic_spline_coeffs(values, grid.step)  # (4, 199, 3)
+    coeffs = CubicSpline(x, values, axis=0).c  # (4, 199, 3)
     q = np.concatenate([rng.uniform(-10.0, 14.0, 3000), x])
     inside = (q >= x[0]) & (q <= x[-1])
     expected = np.where(inside[:, None], PPoly(coeffs, x)(q), 0.0)
@@ -231,13 +199,3 @@ def test_eval_spline_matches_ppoly_and_vanishes_outside():
         assert both.shape == (2,) + q_k.shape
         assert both[0].tobytes() == one.tobytes()
         assert both[1].tobytes() == eval_spline(table, stacked[1], q_k, x[0], grid.step, x[-1]).tobytes()
-
-
-def test_cubic_spline_reproduces_cubics():
-    grid = UniformGrid(-2.0, 3.0, 41)
-    x = grid.points
-    cubic = 0.7 * x**3 - 1.1 * x**2 + 0.3 * x - 2.0
-    coeffs = cubic_spline_coeffs(cubic, grid.step)
-    assert np.abs(coeffs[0] - 0.7).max() < 1e-9
-    with pytest.raises(InvalidInputError):
-        cubic_spline_coeffs(cubic[:3], grid.step)

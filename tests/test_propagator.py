@@ -146,12 +146,17 @@ def test_with_frame_map_refuses_a_map_that_mixes_x_into_the_angles(packet_tomogr
 
 def pointwise_pullback(tomo, matrix):
     """Lattice values of tomo.with_frame_map(matrix), read frame by frame: the
-    base evaluated on the flattened composed map of every lattice frame."""
+    base evaluated on the composed map m of every lattice frame, flattened,
+    each coordinate summed term by term in the order of _map_frames (column
+    0 of m, zero below row 0, is left out of mu' and nu')."""
     base = tomo.base if tomo.base is not None else tomo
-    composed = tomo.frame_map @ matrix if tomo.frame_map is not None else matrix
+    m = tomo.frame_map @ matrix if tomo.frame_map is not None else matrix
     Xg, Th = np.meshgrid(tomo.x_grid.points, tomo.theta_grid.points, indexing="xy")
-    q = composed @ np.stack([Xg.ravel(), np.cos(Th).ravel(), np.sin(Th).ravel()])
-    return base.evaluate(q[0], q[1], q[2]).reshape(tomo.values.shape)
+    X, mu, nu = Xg.ravel(), np.cos(Th).ravel(), np.sin(Th).ravel()
+    mapped_X = m[0, 0] * X + m[0, 1] * mu + m[0, 2] * nu
+    mapped_mu = m[1, 1] * mu + m[1, 2] * nu
+    mapped_nu = m[2, 1] * mu + m[2, 2] * nu
+    return base.evaluate(mapped_X, mapped_mu, mapped_nu).reshape(tomo.values.shape)
 
 
 _FRAME_MAPS = {
@@ -173,29 +178,32 @@ def test_materialized_pullback_matches_pointwise_reads_bytewise(route, theta_cou
     assert twice.values.tobytes() == pointwise_pullback(once, flow(1.3)).tobytes()
 
 
-def test_lattice_frame_stack_is_built_once_per_base(packet_tomogram, monkeypatch):
+def test_pullback_chain_builds_the_x_table_once_on_its_base(packet_tomogram, monkeypatch):
+    # the X table is made on the first read of the base and kept there; the
+    # pullbacks read it through their base and keep no lattice frame stack
     built = []
-    lattice_frames = tomography._lattice_frames
+    upsample = tomography.fft_upsample
 
-    def counting_frames(x_grid, theta_count):
-        built.append((x_grid, theta_count))
-        return lattice_frames(x_grid, theta_count)
+    def counting_upsample(values, count, axis=-1):
+        built.append(values.shape)
+        return upsample(values, count, axis)
 
-    monkeypatch.setattr(tomography, "_lattice_frames", counting_frames)
+    monkeypatch.setattr(tomography, "fft_upsample", counting_upsample)
     # a base with nothing kept yet
     tomo = tomography.Tomogram(packet_tomogram.x_grid, packet_tomogram.theta_count, packet_tomogram.values)
     first = evolve_pullback(tomo, OSCILLATOR, 0.7)
     second = evolve_pullback(tomo, FREE, 1.2)
     chained = evolve_pullback(first, Potential(0.5, 0.3), 0.4)
-    assert built == [(X_GRID, THETA_COUNT)]
-    stacks = [
-        name for name, kept in tomo.__dict__.items()
-        if isinstance(kept, np.ndarray) and kept.shape == (3, THETA_COUNT * X_GRID.count)
-    ]
-    assert stacks == ["lattice_frames"]
-    assert not tomo.__dict__["lattice_frames"].flags.writeable
+    chained.evaluate(np.linspace(-3.0, 3.0, 7), 0.3, 0.8)
+    assert built == [(THETA_COUNT, X_GRID.count)]
+    assert "_segment_coeffs" in tomo.__dict__
+    for held in (tomo, first, second, chained):
+        assert not any(
+            isinstance(kept, np.ndarray) and kept.size == 3 * THETA_COUNT * X_GRID.count
+            for kept in held.__dict__.values()
+        )
     for pulled in (first, second, chained):
-        assert pulled.base is tomo and "lattice_frames" not in pulled.__dict__
+        assert pulled.base is tomo and "_segment_coeffs" not in pulled.__dict__
 
 
 def test_materialization_folds_one_angle_per_lattice_row(packet_tomogram, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
+from scipy.signal import resample
 
 from tomoprop.errors import InvalidFrameError, InvalidInputError, NumericalDomainError
 from tomoprop.grids import UniformGrid, eval_spline, integrate_samples, refine_samples, trapezoid_weights
@@ -793,16 +793,23 @@ def test_forward_transform_evaluates_each_chirp_once():
     assert np.array_equal(_chirp_kernels(a, j), np.exp(0.5j * np.multiply.outer(a, j**2)))
 
 
-def spline_evaluate(tomo, X, mu, nu):
-    """Frame by frame: fold to theta in [0, pi), then one CubicSpline per
-    stored slice, blended linearly between neighbouring slices."""
+def lagrange_evaluate(tomo, X, mu, nu):
+    """Frame by frame: fold to theta in [0, pi), then read each stored slice,
+    resampled to 2 n_x points by scipy.signal.resample, by the 4-point
+    Lagrange cubic through the fine points i - 1 ... i + 2 around u
+    (wrapping periodically), blended linearly between neighbouring slices."""
     x = tomo.x_grid.points
     n = tomo.theta_count
     dtheta = np.pi / n
-    rows = [CubicSpline(x, tomo.values[j]) for j in range(n)]
+    fine = resample(tomo.values, 2 * x.size, axis=1)
+    d = tomo.x_grid.step / 2
 
     def row(j, u):
-        return float(rows[j](u)) if x[0] <= u <= x[-1] else 0.0
+        if not x[0] <= u <= x[-1]:
+            return 0.0
+        i = min(int((u - x[0]) // d), fine.shape[1] - 3)  # the last segment ends at x[-1]
+        taps = fine[j, (i + np.arange(-1, 3)) % fine.shape[1]]
+        return float(taps @ _lagrange_weights(np.array((u - x[0]) / d - i)))
 
     out = []
     for Xq, muq, nuq in zip(X, mu, nu):
@@ -837,7 +844,7 @@ def test_evaluate_matches_per_row_splines(packet_tomogram):
     scale[3000:3012] = 1.0
     X, mu, nu = scale * u, scale * np.cos(theta), scale * np.sin(theta)
     got = tomo.evaluate(X, mu, nu)
-    assert np.abs(got - spline_evaluate(tomo, X, mu, nu)).max() < 1e-13
+    assert np.abs(got - lagrange_evaluate(tomo, X, mu, nu)).max() < 1e-13
 
 
 def test_evaluate_blocks_agree_with_single_frames(packet_tomogram):
@@ -866,20 +873,66 @@ def test_evaluate_of_row_angles_matches_the_flat_call_bytewise(packet_tomogram, 
     assert got.tobytes() == flat.tobytes()
 
 
+def test_x_table_holds_the_lagrange_cubics_of_the_upsampled_slices(packet_tomogram):
+    # segment i of slice j, at offset t half steps, reads the 4-point Lagrange
+    # cubic through the 2x-resampled slice's points i - 1 ... i + 2
+    tomo = packet_tomogram
+    n_x = tomo.x_grid.count
+    table = tomo._segment_coeffs
+    assert table.shape == (tomo.theta_count, 2 * (n_x - 1), 4)
+    fine = resample(tomo.values, 2 * n_x, axis=1)
+    taps = fine[:, (np.arange(2 * (n_x - 1))[:, None] + np.arange(-1, 3)) % (2 * n_x)]
+    for t in np.linspace(0.0, 1.0, 9):
+        q = t * tomo.x_grid.step / 2
+        horner = ((table[..., 0] * q + table[..., 1]) * q + table[..., 2]) * q + table[..., 3]
+        assert np.abs(horner - taps @ _lagrange_weights(np.array(t))).max() < 1e-15
+
+
+def test_reads_at_lattice_x_reproduce_the_stored_values(packet_tomogram):
+    # an integer-factor upsample keeps the samples: every other fine point
+    tomo = packet_tomogram
+    assert np.abs(tomo._segment_coeffs[:, ::2, 3] - tomo.values[:, :-1]).max() < 1e-15
+    theta = tomo.theta_grid.points[:, None]
+    got = tomo.evaluate(tomo.x_grid.points, np.cos(theta), np.sin(theta))
+    assert np.abs(got - tomo.values).max() < 2e-15
+
+
+@pytest.mark.parametrize("n", [180, 181])
+def test_fold_frames_keeps_the_bits_of_the_np_mod_fold(n):
+    # theta + pi below 0 and the flip test (theta < 0) | (theta == pi) stand
+    # in for np.mod(theta, pi) and the rounded flip count; the last four
+    # frames have the angles +0, -0, pi and -pi
+    rng = np.random.default_rng(n)
+    theta = rng.uniform(-np.pi, np.pi, 10**5)
+    mu = np.concatenate([np.cos(theta), [1.0, 1.0, -1.0, -1.0]])
+    nu = np.concatenate([np.sin(theta), [0.0, -0.0, 0.0, -0.0]])
+    angle = np.arctan2(nu, mu)
+    assert angle[-4:].tobytes() == np.array([0.0, -0.0, np.pi, -np.pi]).tobytes()
+    tm = np.mod(angle, np.pi)
+    flip = np.round((angle - tm) / np.pi).astype(int) % 2 == 1
+    f = tm / (np.pi / n)
+    j0 = np.minimum(f.astype(int), n - 1)
+    wrap = j0 + 1 == n
+    expected = (flip, j0, np.where(wrap, 0, j0 + 1), f - j0, wrap)
+    for got, want in zip(_fold_frames(mu, nu, n), expected, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @functools.cache
 def packet_tomogram_at(theta_count):
     return tomogram_from_wavefunction(make_state(GaussianPacket(1.0, 0.5, 1.0)), X_GRID, theta_count)
 
 
 def two_call_read(tomo, X, mu, nu):
-    """The lattice read as two plain eval_spline calls, slice j0 at u and j1
-    at u, or at -u where j1 wraps across theta = pi, blended linearly."""
+    """The lattice read as two plain eval_spline calls on the table's half
+    steps, slice j0 at u and j1 at u, or at -u where j1 wraps across
+    theta = pi, blended linearly."""
     s = np.hypot(mu, nu)
     flip, j0, j1, frac, wrap = _fold_frames(mu, nu, tomo.theta_count)
     u = np.where(flip, -X, X) / s
     g = tomo.x_grid
-    v0 = eval_spline(tomo._segment_coeffs, j0, u, g.lower, g.step, g.upper)
-    v1 = eval_spline(tomo._segment_coeffs, j1, np.where(wrap, -u, u), g.lower, g.step, g.upper)
+    v0 = eval_spline(tomo._segment_coeffs, j0, u, g.lower, g.step / 2, g.upper)
+    v1 = eval_spline(tomo._segment_coeffs, j1, np.where(wrap, -u, u), g.lower, g.step / 2, g.upper)
     return np.maximum((1.0 - frac) * v0 + frac * v1, 0.0) / s
 
 
