@@ -56,7 +56,14 @@ _ROUTES = ("pullback", "green", "pde")
 # nothing measurable; tests/test_cli.py holds it under BYTES_PER_LATTICE_POINT),
 # `--route pullback` and `--route pde` about 140 B at 351 x 180 and 137 at 701 x 360
 # (the X table that `Tomogram.evaluate` reads, 64 B a point, and its build),
-# `reconstruct` about 90 B an entry and `green` 40 B.
+# and `green` 40 B an entry.  `reconstruct` of a default-lattice tomogram
+# peaks at 40.4 MB at pos_count 512, 106 MB at 1024 and 359 MB at 2048, or
+# 154, 101 and 86 B an entry: the peak includes the tomogram's 11.8 MB
+# characteristic table and other fixed costs, about 19 MB in all, which
+# weigh most per entry at small counts, and grows by about 81 B an entry.
+# So BYTES_PER_MATRIX_ENTRY = 128 still bounds MAX_POS_COUNT = 4096, where
+# those figures give about 1.4 GB; the table itself grows with the lattice
+# and counts against the lattice bound.
 # The bounds round those up and are applied before any numerics: the lattice
 # bound by `RunConfig.validate`, the matrix bound by `RunConfig.validate_matrices`
 # for the two subcommands that build pos_count^2 matrices, `green` and

@@ -29,6 +29,10 @@ class UniformGrid:
     def __post_init__(self):
         if self.count < 8:
             raise InvalidInputError(f"grid needs at least 8 points, got {self.count}")
+        if not np.isfinite([self.lower, self.upper, self.upper - self.lower]).all():
+            raise InvalidInputError(
+                f"grid bounds [{self.lower}, {self.upper}] and their span must be finite"
+            )
         if not self.upper > self.lower:
             raise InvalidInputError(
                 f"grid upper bound {self.upper} must exceed lower bound {self.lower}"
@@ -74,7 +78,7 @@ def integrate_samples(values, step: float):
     return step * (inner + 0.5 * (values[..., 0] + values[..., -1]))
 
 
-def padded_spectrum(spectrum: np.ndarray, count: int) -> np.ndarray:
+def _padded_spectrum(spectrum: np.ndarray, count: int) -> np.ndarray:
     """The length-`count` spectrum of band-limited upsampling, from a full FFT along the last axis.
 
     Zero-pads between the non-negative and the negative frequency bins; for
@@ -96,16 +100,23 @@ def padded_spectrum(spectrum: np.ndarray, count: int) -> np.ndarray:
     return padded
 
 
-def fft_upsample(values, count: int, axis: int = -1) -> np.ndarray:
-    """Band-limited upsampling of periodic samples to `count` points along `axis`.
+def upsample(grid: UniformGrid, values, count: int, spectrum=None):
+    """Band-limited upsampling of samples on `grid`, periodic over its
+    period count * step, to `count` points along the last axis.
 
-    The inverse FFT of `padded_spectrum`; real input gives real output.
+    Returns (fine points, fine step, fine samples), the samples complex:
+    the inverse FFT of `_padded_spectrum`, from `spectrum`, the values'
+    FFT along the last axis, when the caller already has it.  `count ==
+    grid.count` returns grid.points, grid.step and `values` itself.  Valid
+    for samples that decay to negligible values at the grid boundary,
+    whose periodic extension is then smooth.
     """
-    values = np.moveaxis(np.asarray(values), axis, -1)
-    out = np.fft.ifft(padded_spectrum(np.fft.fft(values), count))
-    if not np.iscomplexobj(values):
-        out = out.real
-    return np.moveaxis(out, -1, axis)
+    if count == grid.count:
+        return grid.points, grid.step, values
+    if spectrum is None:
+        spectrum = np.fft.fft(values)
+    step = grid.count * grid.step / count
+    return grid.lower + step * np.arange(count), step, np.fft.ifft(_padded_spectrum(spectrum, count))
 
 
 def fine_need(grid: UniformGrid, max_freq, band):
@@ -147,25 +158,12 @@ def fine_count(grid: UniformGrid, max_freq: float, band: float) -> int:
 
 
 def refine_count(grid: UniformGrid, max_freq: float) -> int:
-    """The fine count of `refine_samples`: samples on `grid` carry
-    frequencies up to pi / grid.step, and upsampling keeps that band, so
-    it is `fine_count(grid, max_freq, pi / grid.step)`, which refuses
-    counts above MAX_FINE."""
+    """The count to `upsample` samples on `grid` to for a step that resolves
+    phases up to max_freq rad/unit: the samples carry frequencies up to
+    pi / grid.step, and upsampling keeps that band, so it is
+    `fine_count(grid, max_freq, pi / grid.step)`, which refuses counts
+    above MAX_FINE."""
     return fine_count(grid, max_freq, np.pi / grid.step)
-
-
-def refine_samples(grid: UniformGrid, values, max_freq: float, axis: int = -1):
-    """FFT-upsample samples on `grid` so the step resolves phases up to max_freq rad/unit.
-
-    Returns (fine positions, fine values, fine step), at `refine_count`
-    samples.  Valid because the sampled functions decay below 1e-10 at the
-    grid boundary, making the periodic extension smooth.
-    """
-    n_fine = refine_count(grid, max_freq)
-    if n_fine == grid.count:
-        return grid.points, values, grid.step
-    step = grid.count * grid.step / n_fine
-    return grid.lower + step * np.arange(n_fine), fft_upsample(values, n_fine, axis), step
 
 
 def _smooth_numbers(limit: int) -> list[int]:

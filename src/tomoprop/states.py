@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UnsupportedStateError
 from .greens import GreenFunction
-from .grids import UniformGrid, integrate_samples, refine_samples, trapezoid_weights
+from .grids import UniformGrid, integrate_samples, refine_count, trapezoid_weights, upsample
 
 DEFAULT_POSITION_GRID = UniformGrid(-12.0, 12.0, 512)
 MAX_HERMITE_INDEX = 32
@@ -211,15 +211,15 @@ def propagate_states(
 ) -> np.ndarray:
     """Rows psi_k sampled on `grid` to int G(x, y, t) psi_k(y) dy on `out_grid`.
 
-    y is FFT-upsampled (`refine_samples`) until the step resolves the
-    kernel's phase rate over both grids plus the samples' own band pi / h,
-    where the trapezoid rule is exact up to the samples' tails; a count
-    above grids.MAX_FINE raises NumericalDomainError before anything is
-    allocated.  All rows share each y-chunk of the kernel, which bounds
-    its memory.
+    The samples are FFT-upsampled (`grids.upsample`) to `refine_count`
+    points, whose step resolves the kernel's phase rate over both grids
+    plus the samples' own band pi / h, where the trapezoid rule is exact
+    up to the samples' tails; a count above grids.MAX_FINE raises
+    NumericalDomainError before anything is allocated.  All rows share
+    each y-chunk of the kernel, which bounds its memory.
     """
     rate = green.phase_rate_bound(out_grid.reach, grid.reach, t)
-    y, vals, step = refine_samples(grid, states, rate, axis=1)
+    y, step, vals = upsample(grid, states, refine_count(grid, rate))
     x = out_grid.points
     out = np.zeros((states.shape[0], x.size), dtype=np.complex128)
     w = trapezoid_weights(y.size, step)

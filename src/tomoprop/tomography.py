@@ -18,13 +18,12 @@ from .errors import InvalidFrameError, InvalidInputError
 from .grids import (
     UniformGrid,
     eval_spline,
-    fft_upsample,
     fine_count,
     fine_need,
     integrate_samples,
     next_fast_len,
-    padded_spectrum,
     trapezoid_weights,
+    upsample,
 )
 from .states import DensityMatrix, WaveFunction
 
@@ -116,7 +115,7 @@ class Tomogram:
         i - 1 ... i + 2 (wrapping at the ends), the one `_lagrange_weights`
         gives, as Horner coefficients in the offset from fine point i.
         """
-        fine = fft_upsample(self.values, _X_UPSAMPLE * self.x_grid.count, axis=1)
+        fine = upsample(self.x_grid, self.values, _X_UPSAMPLE * self.x_grid.count)[2].real
         n_seg = fine.shape[1] - _X_UPSAMPLE
         # the taps -1, 0, 1, 2 of every segment, views of the fine points
         # preceded by the last one: only segment 0's first tap wraps
@@ -404,7 +403,7 @@ def _transform_state_batch(
     states: np.ndarray,
     weights: np.ndarray,
     x_grid: UniformGrid,
-    theta_count: int = DEFAULT_THETA_COUNT,
+    theta_count: int,
 ) -> np.ndarray:
     """Tomogram values for rho = sum_k weights[k] |psi_k><psi_k| on the
     lattice (x_grid, angle_grid(theta_count)).
@@ -447,7 +446,7 @@ def _transform_state_batch(
     for side, count, rows, kernels in blocks:
         pairs = len(rows) - kernels
         if side == 0:
-            y, step, samples = _position_samples(grid, states, spectrum, count)
+            y, step, samples = upsample(grid, states, count, spectrum)
             partner_samples = samples
             mu, nu = cos[rows], sin[rows]
             mu[kernels:], nu[kernels:] = -mu[:pairs], nu[:pairs]  # exactly (-mu, nu)
@@ -473,14 +472,6 @@ def _block_bytes(rows: int, kernels: int, count: int, n_states: int, n_x: int) -
         + 3 * rows * count
         + rows * n_states * n_x
     )
-
-
-def _position_samples(grid: UniformGrid, states: np.ndarray, spectrum: np.ndarray, count: int):
-    """psi FFT-upsampled to `count` samples over its grid's period: (y, dy, samples)."""
-    if count == grid.count:
-        return grid.points, grid.step, states
-    step = grid.count * grid.step / count
-    return grid.lower + step * np.arange(count), step, np.fft.ifft(padded_spectrum(spectrum, count))
 
 
 def _momentum_samples(grid: UniformGrid, states: np.ndarray, spectrum: np.ndarray, count: int):

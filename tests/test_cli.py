@@ -520,6 +520,41 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["tomogram", "--x-upper", "inf"],
+        ["evolve", "--x-upper", "inf"],
+        ["tomogram", "--x-lower=-1e308", "--x-upper=1e308"],
+        ["green", "--pos-upper", "inf", "--t", "0.5"],
+        ["reconstruct", "--pos-upper", "inf"],
+        ["tomogram", "--config"],
+    ],
+    ids=[
+        "tomogram_x_upper",
+        "evolve_x_upper",
+        "x_span_overflow",
+        "green_pos_upper",
+        "reconstruct_pos_upper",
+        "config_x_lower",
+    ],
+)
+def test_non_finite_grid_bounds_exit_2_and_write_nothing(tmp_path, capsys, argv):
+    if argv[0] == "reconstruct":
+        source = tmp_path / "source.csv"
+        assert run(["tomogram", "-o", str(source)] + FAST, capsys)[0] == EXIT_OK
+        argv = argv + [str(source)]
+    if argv[-1] == "--config":
+        conf = tmp_path / "conf.json"
+        conf.write_text('{"x_lower": -Infinity}')  # json.load accepts it
+        argv = argv + [str(conf)]
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(argv + ["-o", str(out)] + FAST, capsys)
+    assert code == EXIT_INVALID and stdout == ""
+    assert "finite" in json.loads(err.strip())["message"]
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         "gaussian:nan,0,1",

@@ -8,12 +8,12 @@ from tomoprop.grids import (
     MAX_FINE,
     UniformGrid,
     eval_spline,
-    fft_upsample,
     fine_count,
     integrate_samples,
     next_fast_len,
-    refine_samples,
+    refine_count,
     trapezoid_weights,
+    upsample,
 )
 
 from kernel_oracle import damped_integral_2d
@@ -34,6 +34,16 @@ def test_uniform_grid_rejects_small_counts():
 def test_uniform_grid_rejects_empty_interval():
     with pytest.raises(InvalidInputError):
         UniformGrid(1.0, 1.0, 16)
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (-1e308, 1e308)],
+    ids=["lower-inf", "upper-inf", "lower-nan", "span-overflow"],
+)
+def test_uniform_grid_rejects_non_finite_bounds_or_span(lower, upper):
+    with pytest.raises(InvalidInputError, match="finite"):
+        UniformGrid(lower, upper, 16)
 
 
 def test_trapezoid_weights_sum_to_length():
@@ -88,27 +98,41 @@ def test_fft_upsample_matches_scipy_resample(n, dtype):
     from scipy.signal import resample
 
     rng = np.random.default_rng(n)
+    grid = UniformGrid(-1.0, 2.0, n)
     values = rng.standard_normal((3, n))
     if dtype is complex:
         values = values + 1j * rng.standard_normal((3, n))
     for count in (n, n + 1, 4 * n, 4 * n + 1):
-        got = fft_upsample(values, count, axis=1)
+        y, step, got = upsample(grid, values, count)
         expected = resample(values, count, axis=1)
-        assert got.shape == (3, count)
-        assert np.iscomplexobj(got) == (dtype is complex)
+        assert got.shape == (3, count) and y.shape == (count,)
+        assert step * count == pytest.approx(grid.step * n, rel=1e-15) and y[0] == grid.lower
+        if dtype is float:
+            assert np.abs(got.imag).max() <= 1e-15
         assert np.abs(got - expected).max() <= 1e-12
     with pytest.raises(InvalidInputError):
-        fft_upsample(values, n - 1, axis=1)
+        upsample(grid, values, n - 1)
+
+
+def test_upsample_of_a_given_spectrum_is_bit_identical():
+    rng = np.random.default_rng(7)
+    grid = UniformGrid(-3.0, 3.0, 40)
+    values = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
+    for count in (45, 99, 160):
+        own = upsample(grid, values, count)
+        given = upsample(grid, values, count, np.fft.fft(values))
+        for a, b in zip(own, given):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_refine_samples_resolves_requested_frequency():
     grid = UniformGrid(-6.0, 6.0, 64)
     values = np.exp(-grid.points**2)
-    y, fine, step = refine_samples(grid, values, 40.0)
+    y, step, fine = upsample(grid, values, refine_count(grid, 40.0))
     assert y.size == fine.size and y[0] == grid.lower
     assert 2.0 * np.pi / step >= 40.0 + np.pi / grid.step
     assert np.abs(fine - np.exp(-y**2)).max() < 1e-10
-    assert refine_samples(grid, values, 1.0)[1] is values
+    assert upsample(grid, values, refine_count(grid, 1.0))[2] is values
 
 
 def _is_11_smooth(n):

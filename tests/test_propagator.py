@@ -182,13 +182,13 @@ def test_pullback_chain_builds_the_x_table_once_on_its_base(packet_tomogram, mon
     # the X table is made on the first read of the base and kept there; the
     # pullbacks read it through their base and keep no lattice frame stack
     built = []
-    upsample = tomography.fft_upsample
+    upsample = tomography.upsample
 
-    def counting_upsample(values, count, axis=-1):
+    def counting_upsample(grid, values, count, spectrum=None):
         built.append(values.shape)
-        return upsample(values, count, axis)
+        return upsample(grid, values, count, spectrum)
 
-    monkeypatch.setattr(tomography, "fft_upsample", counting_upsample)
+    monkeypatch.setattr(tomography, "upsample", counting_upsample)
     # a base with nothing kept yet
     tomo = tomography.Tomogram(packet_tomogram.x_grid, packet_tomogram.theta_count, packet_tomogram.values)
     first = evolve_pullback(tomo, OSCILLATOR, 0.7)

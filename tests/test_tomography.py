@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.signal import resample
 
 from tomoprop.errors import InvalidFrameError, InvalidInputError, NumericalDomainError
-from tomoprop.grids import UniformGrid, eval_spline, integrate_samples, refine_samples, trapezoid_weights
+from tomoprop.grids import UniformGrid, eval_spline, integrate_samples, refine_count, trapezoid_weights, upsample
 from tomoprop.states import (
     DensityMatrix,
     GaussianPacket,
@@ -594,7 +594,7 @@ def dense_transform_batch(grid, states, weights, x_grid, theta_count, rows=None)
     for r, j in enumerate(rows):
         mu, nu = np.cos(theta[j]), np.sin(theta[j])
         max_freq = (abs(mu) * ymax + xabs) / abs(nu)
-        y, fine, step = refine_samples(grid, states, 2.5 * max_freq, axis=1)
+        y, step, fine = upsample(grid, states, refine_count(grid, 2.5 * max_freq))
         chirped = fine * np.exp(0.5j * mu * y**2 / nu) * step
         amp = np.zeros((states.shape[0], X.size), dtype=np.complex128)
         for lo in range(0, y.size, 1 << 13):
