@@ -7,7 +7,6 @@ convention is a closed grid: both endpoints are grid points.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,17 +133,13 @@ def fine_need(grid: UniformGrid, max_freq, band):
 
 def fine_count(grid: UniformGrid, max_freq: float, band: float) -> int:
     """Samples over `grid`'s period whose step resolves phases up to
-    max_freq rad/unit on samples of band `band` (`fine_need`).
+    max_freq rad/unit on samples of band `band` (`fine_need`), rounded as
+    `fine_counts` rounds: `grid.count` when that suffices, else
+    `next_fast_len` of the need.
 
-    `grid.count` when that suffices, else the need rounded up by
-    `next_fast_len`, so every FFT of the fine samples has only the
-    factors 2, 3, 5, 7 and 11.  Either way it is the smallest count at or
-    above the need among `grid.count` and the 11-smooth counts above it, so
-    one need exceeds another's count exactly when its own count is the
-    larger.  A need above MAX_FINE (itself 11-smooth) raises
-    NumericalDomainError naming the rate, the band, the period and the
-    need: it is refused, never capped, so a caller can decide before
-    allocating anything.
+    A need above MAX_FINE (itself 11-smooth) raises NumericalDomainError
+    naming the rate, the band, the period and the need: it is refused,
+    never capped, so a caller can decide before allocating anything.
     """
     n = grid.count
     needed = int(np.ceil(fine_need(grid, max_freq, band)))
@@ -155,6 +150,22 @@ def fine_count(grid: UniformGrid, max_freq: float, band: float) -> int:
             f"more than MAX_FINE = {MAX_FINE}"
         )
     return n if needed <= n else next_fast_len(needed)
+
+
+def fine_counts(count: int, need):
+    """The fine counts of the needs `need` (`fine_need`) over a grid of
+    `count` points, elementwise and unchecked.
+
+    `count` where it covers the need, else the need rounded up by
+    `next_fast_len`, so every FFT of the fine samples has only the factors
+    2, 3, 5, 7 and 11.  Either way it is the smallest count at or above the
+    need among `count` and the 11-smooth counts above it, so one need
+    exceeds another's count exactly when its own count is the larger.  A
+    need above MAX_FINE, infinite ones included, reads as the count of
+    MAX_FINE + 1, which lies above MAX_FINE.
+    """
+    needed = np.ceil(np.minimum(need, MAX_FINE + 1))
+    return np.where(needed <= count, count, _FAST_LENS[np.searchsorted(_FAST_LENS, needed)])
 
 
 def refine_count(grid: UniformGrid, max_freq: float) -> int:
@@ -178,7 +189,7 @@ def _smooth_numbers(limit: int) -> list[int]:
     return sorted(numbers)
 
 
-_FAST_LENS = _smooth_numbers(2 * MAX_FINE)
+_FAST_LENS = np.array(_smooth_numbers(2 * MAX_FINE))
 
 
 def next_fast_len(target: int) -> int:
@@ -195,7 +206,7 @@ def next_fast_len(target: int) -> int:
     n = int(target)
     if n > _FAST_LENS[-1]:
         return min(p * next_fast_len(-(-n // p)) for p in (2, 3, 5, 7, 11))
-    return _FAST_LENS[bisect.bisect_left(_FAST_LENS, n)]
+    return int(_FAST_LENS[np.searchsorted(_FAST_LENS, n)])
 
 
 def eval_spline(table: np.ndarray, rows, q: np.ndarray, lower: float, step: float, upper: float) -> np.ndarray:

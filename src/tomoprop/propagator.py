@@ -108,8 +108,11 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
     """Evolution through the quantum propagator.
 
     Chain: tomogram -> density matrix (inverse transform) -> its kept
-    eigenvectors psi_k, each sent to int G(x, y, t) psi_k(y) dy ->
-    sum_k w_k psi_k psi_k^dagger -> tomogram (spectral forward transform).
+    eigenvectors psi_k with weights w_k, each sent to int G(x, y, t)
+    psi_k(y) dy -> rho_t = sum_k w_k psi_k psi_k^dagger -> tomogram.  rho_t
+    carries the propagated psi_k and w_k as its `DensityMatrix.factors`,
+    and the forward transform, bilinear in rho, reads them as they are:
+    they need not stay orthonormal, and rho_t is never diagonalized again.
 
     The input grid is `moment_grid` of the tomogram's own moments, the
     output grid that of the same moments flowed by the kernel's classical
@@ -136,7 +139,9 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
 
     The returned meta holds the input cut's components, weight_kept and
     weight_dropped, the inverse stage's mu_band, mu_edge_ratio and
-    accuracy_warning, and both grids as [lower, upper, count].  When the
+    accuracy_warning, the forward transform's slice_mass_min and
+    slice_mass_max (the slice masses before renormalization), and both
+    grids as [lower, upper, count].  When the
     inverse sets accuracy_warning, every call raises InvalidInputError
     naming the cause (`refuse_unresolved`), so a returned tomogram always
     has accuracy_warning False.
@@ -153,9 +158,9 @@ def evolve_via_green(tomo: Tomogram, green: GreenFunction, t: float) -> Tomogram
     refuse_unresolved(tomo, meta)
     if t != 0:
         states = propagate_states(states, in_grid, out_grid, green, t)
-    rho_t = DensityMatrix(grid=out_grid, values=(states.T * weights) @ states.conj())
+    rho_t = DensityMatrix(grid=out_grid, values=(states.T * weights) @ states.conj(), factors=(states, weights))
     evolved = tomogram_from_density(rho_t, tomo.x_grid, tomo.theta_count)
-    evolved.meta.update(meta)  # the input cut's figures, in place of the output's, and the inverse's
+    evolved.meta.update(meta)  # the input cut's figures and the inverse's
     evolved.meta.update(input_grid=_grid_meta(in_grid), output_grid=_grid_meta(out_grid))
     return evolved
 

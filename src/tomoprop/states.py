@@ -175,11 +175,21 @@ def make_state(spec: StateSpec | str, grid: UniformGrid | None = None) -> WaveFu
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian grid matrix rho(x_i, x_j); Hermitian by construction."""
+    """Hermitian grid matrix rho(x_i, x_j); Hermitian by construction.
+
+    `factors`, when set, is the (states, weights) the matrix was built
+    from: rho = sum_k weights[k] |states[k]><states[k]|, the rows sampled on
+    `grid` and not necessarily orthonormal.  `density_from_wavefunction`
+    and the Green route's evolved matrix set it, and
+    `tomography.spectral_components` returns it in place of an
+    eigendecomposition.  A matrix read from a file or made by the inverse
+    transform carries none.
+    """
 
     grid: UniformGrid
     values: np.ndarray
     meta: dict = field(default_factory=dict, compare=False)
+    factors: tuple | None = field(default=None, compare=False, repr=False)
 
     def trace(self) -> float:
         return float(integrate_samples(np.diag(self.values).real, self.grid.step))
@@ -198,9 +208,10 @@ class DensityMatrix:
 
 
 def density_from_wavefunction(psi: WaveFunction) -> DensityMatrix:
-    """Pure-state projector rho(x, x') = Psi(x) conj(Psi(x'))."""
+    """Pure-state projector rho(x, x') = Psi(x) conj(Psi(x')), carrying Psi
+    with weight 1 as its factors."""
     v = psi.values
-    return DensityMatrix(grid=psi.grid, values=np.outer(v, v.conj()))
+    return DensityMatrix(grid=psi.grid, values=np.outer(v, v.conj()), factors=(v[None, :], np.ones(1)))
 
 
 # --- evolution ---------------------------------------------------------------

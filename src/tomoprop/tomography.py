@@ -16,9 +16,11 @@ import numpy as np
 
 from .errors import InvalidFrameError, InvalidInputError
 from .grids import (
+    MAX_FINE,
     UniformGrid,
     eval_spline,
     fine_count,
+    fine_counts,
     fine_need,
     integrate_samples,
     next_fast_len,
@@ -32,7 +34,7 @@ WEIGHT_FLOOR = 1e-6  # smallest spectral weight kept
 NEGATIVE_WEIGHT_BOUND = 0.1  # largest total |negative spectral weight| a density matrix may carry
 MU_BAND_MAX = 40.0  # largest mu band of density_from_tomogram
 MU_EDGE_THRESHOLD = 1e-8  # envelope / peak ratio of the slice characteristics that sets the mu band
-_BLOCK_BYTES = 1 << 20  # temporaries one block of _transform_state_batch may hold (_block_bytes)
+_BLOCK_BYTES = 3 << 19  # largest arrays one block of _transform_state_batch may hold (_block_bytes)
 NEGATIVE_TOL = 1e-10  # most negative value a Tomogram accepts (and clips to 0)
 _X_UPSAMPLE = 2  # fine points per X step of the table `evaluate` reads (Tomogram._segment_coeffs)
 DEFAULT_X_GRID = UniformGrid(-14.0, 14.0, 351)
@@ -322,17 +324,15 @@ def _fold_frames(mu: np.ndarray, nu: np.ndarray, n: int):
 # --- forward transforms ------------------------------------------------------
 
 
-def _angle_pairs(n: int) -> list[tuple[int, int | None]]:
-    """The slices of angle_grid(n) as (j, n - j), theta_j and its partner
-    pi - theta_j, for 1 <= j < n/2, then (0, None) and, for even n,
-    (n/2, None): theta = 0 and pi/2 are their own partners.  |cos theta|
-    and sin theta are the same for j and n - j.
+def _angle_pairs(n: int):
+    """The units of work over angle_grid(n) as (first, pairs): `first` holds
+    each unit's first slice, j for 1 <= j < n/2, then 0 and, for even n,
+    n/2; the first `pairs` units pair j with n - j, theta_j with pi - theta_j,
+    and theta = 0 and pi/2 are their own partners.  |cos theta| and
+    sin theta are the same for j and n - j.
     """
-    groups = [(j, n - j) for j in range(1, (n + 1) // 2)]
-    groups.append((0, None))
-    if n % 2 == 0:
-        groups.append((n // 2, None))
-    return groups
+    pairs = (n - 1) // 2
+    return np.array([*range(1, pairs + 1), 0] + [n // 2] * (1 - n % 2)), pairs
 
 
 def _momentum_grid(grid: UniformGrid) -> UniformGrid:
@@ -353,48 +353,55 @@ def _slice_plan(grid: UniformGrid, x_grid: UniformGrid, theta_count: int, n_stat
     position side, the state grid's x reach on the momentum side, since
     psi~(p) = sum_j psi_j exp(-i p x_j) up to a constant.
     Each unit takes the side whose fine count is smaller, the position
-    side on a tie; only the chosen side's count is checked against
-    MAX_FINE, so a refusal means both sides need more.  |cos theta| and
-    sin theta, and so both counts, are the same for j and n - j.  The
-    units, sorted by side and count, fill blocks while `_block_bytes` at
-    the block's largest count stays within _BLOCK_BYTES.  A block's `rows`
-    list the first slice of each unit, paired units first, then the
-    partners in the same order, so partner q shares kernel q; `kernels` is
-    the number of units.
+    side on a tie; a unit whose two counts both exceed MAX_FINE is refused,
+    naming the smaller need.  |cos theta| and sin theta, and so both
+    counts, are the same for j and n - j.
+
+    The units, sorted by side and count, fill blocks while `_block_bytes`
+    at the block's largest count stays within _BLOCK_BYTES, and a block
+    never mixes units at the grid's own count with upsampled ones.  A
+    block's `rows` list the first slice of each unit, paired units first,
+    then the partners in the same order, so partner q shares kernel q;
+    `kernels` is the number of units.
     """
-    theta = angle_grid(theta_count).points
-    groups = _angle_pairs(theta_count)
-    first = [j for j, _ in groups]
-    mu, nu = np.abs(np.cos(theta[first])), np.sin(theta[first])
+    first, pairs = _angle_pairs(theta_count)
+    theta = angle_grid(theta_count).points[first]
+    mu, nu = np.abs(np.cos(theta)), np.sin(theta)
     p_grid = _momentum_grid(grid)
     with np.errstate(divide="ignore"):  # nu = 0 (mu = 0) rules out the position (momentum) side
-        x_rate = (mu * grid.reach + x_grid.reach) / nu
-        p_rate = (nu * np.pi / grid.step + x_grid.reach) / mu
-    x_band, p_band = np.pi / grid.step, grid.reach
-    x_need, p_need = fine_need(grid, x_rate, x_band), fine_need(p_grid, p_rate, p_band)
-    units = []
-    for group, xr, pr, xn, pn in zip(groups, x_rate, p_rate, x_need, p_need):
-        # a fine count is the smallest allowed count at or above the need,
-        # so the position side's count exceeds p_count exactly when its need does
-        slices = tuple(k for k in group if k is not None)
-        if pn < xn and xn > (p_count := fine_count(p_grid, pr, p_band)):
-            units.append((1, p_count, slices))
-        else:
-            units.append((0, fine_count(grid, xr, x_band), slices))
-    units.sort(key=lambda u: u[:2])
+        rates = ((mu * grid.reach + x_grid.reach) / nu, (nu * np.pi / grid.step + x_grid.reach) / mu)
+    bands = (np.pi / grid.step, grid.reach)
+    needs = np.stack((fine_need(grid, rates[0], bands[0]), fine_need(p_grid, rates[1], bands[1])))
+    counts = fine_counts(grid.count, needs)
+    side = (counts[1] < counts[0]).astype(int)
+    count = np.minimum(counts[0], counts[1])
+    if count.max() > MAX_FINE:
+        u = np.argmax(count > MAX_FINE)
+        s = int(needs[1, u] < needs[0, u])
+        fine_count((grid, p_grid)[s], rates[s][u], bands[s])  # raises, naming the smaller need
+
+    order = np.lexsort((count, side))
+    side, count, first, paired = side[order], count[order], first[order], order < pairs
+    rows_through = np.cumsum(1 + paired)  # rows of units 0 ... i
+    # a block ends where the side changes or the count leaves the grid's own
+    group = 2 * side + (count > grid.count)
+    ends = [*np.flatnonzero(group[1:] != group[:-1]) + 1, side.size]
     blocks = []
     lo = 0
-    while lo < len(units):
-        hi, rows = lo + 1, len(units[lo][2])
-        while hi < len(units) and units[hi][0] == units[lo][0]:
-            rows += len(units[hi][2])
-            if _block_bytes(rows, hi + 1 - lo, units[hi][1], n_states, x_grid.count) > _BLOCK_BYTES:
-                break
-            hi += 1
-        block = sorted(units[lo:hi], key=lambda u: -len(u[2]))
-        rows = [u[2][0] for u in block] + [u[2][1] for u in block if len(u[2]) == 2]
-        blocks.append((*units[hi - 1][:2], rows, len(block)))
-        lo = hi
+    for end in ends:
+        while lo < end:
+            # the block's bytes if it ran from unit lo to each unit up to end
+            rows = rows_through[lo:end] - (rows_through[lo - 1] if lo else 0)
+            fits = _block_bytes(rows, np.arange(1, end - lo + 1), count[lo:end], n_states, x_grid.count)
+            hi = lo + max(1, np.count_nonzero(fits <= _BLOCK_BYTES))
+            unit, pair = first[lo:hi], paired[lo:hi]
+            blocks.append((
+                int(side[lo]),
+                int(count[hi - 1]),
+                np.concatenate((unit[pair], unit[~pair], theta_count - unit[pair])),
+                int(hi - lo),
+            ))
+            lo = hi
     return blocks
 
 
@@ -434,9 +441,11 @@ def _transform_state_batch(
     modulus is the same.
 
     The units of work are sorted by side and fine count and run in blocks
-    whose temporaries stay within _BLOCK_BYTES: a block takes its fine
-    samples once, at its largest count, and runs one batched kernel FFT and
-    one batched FFT, kernel product and inverse FFT.
+    whose largest arrays stay within _BLOCK_BYTES (`_slice_plan`): a block
+    takes its fine samples once, at its largest count, and runs one batched
+    kernel FFT and one batched FFT, kernel product and inverse FFT.  The
+    weighted sum over the states is an einsum, which adds the states'
+    powers in order without a BLAS call.
     """
     blocks = _slice_plan(grid, x_grid, theta_count, states.shape[0])  # refuses before allocating
     theta = angle_grid(theta_count).points
@@ -456,22 +465,21 @@ def _transform_state_batch(
             mu, nu = sin[rows], -cos[rows]
             mu[kernels:], nu[kernels:] = mu[:pairs], nu[:pairs]  # (mu', -nu') is conj(psi~) at (mu', nu')
         power = _chirp_z_power(samples, partner_samples, y, step, mu, nu, kernels, x_grid, side == 1)
-        out[rows] = weights @ power / (2.0 * np.pi * np.abs(nu))[:, None]
+        weighted = np.einsum("k,rkx->rx", weights, power)
+        weighted /= (2.0 * np.pi * np.abs(nu))[:, None]
+        out[rows] = weighted
     return out
 
 
 def _block_bytes(rows: int, kernels: int, count: int, n_states: int, n_x: int) -> int:
-    """Bytes of a block's temporaries: fine samples, the partners' samples and
-    the spectrum they come from, the padded buffer, the kernels before and
-    after their FFT, the phase argument, chirp and shift per row, and the power."""
+    """Bytes of a block's largest arrays: the fine samples, the partners'
+    samples and the spectrum they come from, and the one work array of
+    `_chirp_z_power`, which holds the kernels' FFTs, the padded buffer and
+    the chirp and shift per row.  The chirps' phase argument and the
+    kernels' lag table live beside it for a while, so a block's traced peak
+    runs to about 1.6 times this (2.4 MiB at the 1.5 MiB budget)."""
     size = count + n_x - 1  # within a few per cent of its next_fast_len
-    return 16 * (
-        3 * n_states * count
-        + rows * n_states * size
-        + 2 * kernels * size
-        + 3 * rows * count
-        + rows * n_states * n_x
-    )
+    return 16 * (3 * n_states * count + (kernels + rows * n_states) * size + rows * count)
 
 
 def _momentum_samples(grid: UniformGrid, states: np.ndarray, spectrum: np.ndarray, count: int):
@@ -503,6 +511,9 @@ def _chirp_z_power(
     r - kernels, so their nu must equal its nu.  With `shared_phase` every
     partner's mu equals its first row's too, as on the momentum side, and
     the partners also share that row's chirp and shift, evaluated once.
+    The kernels' FFTs, the padded buffer and the chirps share one work
+    array (`_block_bytes`), filled and transformed in place, so a block
+    makes one large allocation; only the buffer's zero padding is cleared.
     """
     n_y = y.size
     n_x = x_grid.count
@@ -510,48 +521,65 @@ def _chirp_z_power(
     pairs = mu.size - kernels
     distinct = kernels if shared_phase else mu.size
     a = x_grid.step * step / nu[:distinct]
-    k = np.arange(n_y) - n_y // 2
     # sample k sits at index k + n_y // 2 and kernel j = m - k at index
     # j + lag, so output m lands at index m + n_x // 2 + n_y - 1
     lag = n_y - 1 - n_y // 2 + n_x // 2
-    j_kernel = np.arange(n_y + n_x - 1) - lag
-    kernel = np.fft.fft(_chirp_kernels(a[:kernels], j_kernel), size, axis=1)
+    # the kernels, the padded buffer and the chirps share one allocation
+    n_buf = mu.size * samples.shape[0] * size
+    work = np.empty(kernels * size + n_buf + distinct * n_y, dtype=np.complex128)
+    kernel = work[: kernels * size].reshape(kernels, size)
+    buf = work[kernels * size : kernels * size + n_buf].reshape(mu.size, samples.shape[0], size)
+    buf[:, :, n_y:] = 0.0
+    phase = work[kernels * size + n_buf :].reshape(distinct, n_y)
+    _chirp_kernels(a[:kernels], lag, n_y + n_x - 1, kernel)
+    np.fft.fft(kernel, axis=1, out=kernel)
+    k = np.arange(n_y) - n_y // 2
     x_centre = x_grid.points[n_x // 2]
     arg = np.multiply.outer(0.5 * mu[:distinct] / nu[:distinct], y**2)
     arg -= np.multiply.outer(x_centre / nu[:distinct], y)
     arg -= np.multiply.outer(0.5 * a, k**2)
-    phase = step * np.exp(1j * arg)  # chirp times shift
+    np.multiply(1j, arg, out=phase)
     del arg
+    np.exp(phase, out=phase)
+    phase *= step  # chirp times shift
     # writing into the padded buffer leaves the caller's states untouched
-    buf = np.zeros((mu.size, samples.shape[0], size), dtype=np.complex128)
     np.multiply(samples, phase[:kernels, None, :], out=buf[:kernels, :, :n_y])
     partner_phase = phase[:pairs] if shared_phase else phase[kernels:]
     np.multiply(partner_samples, partner_phase[:, None, :], out=buf[kernels:, :, :n_y])
-    del phase, partner_phase
     np.fft.fft(buf, axis=2, out=buf)
     buf[:kernels] *= kernel[:, None, :]
     buf[kernels:] *= kernel[:pairs, None, :]
     np.fft.ifft(buf, axis=2, out=buf)
-    return np.abs(buf[:, :, n_y - 1 : n_y - 1 + n_x]) ** 2
+    power = np.abs(buf[:, :, n_y - 1 : n_y - 1 + n_x])
+    return np.square(power, out=power)
 
 
-def _chirp_kernels(a: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """exp(i a_r j^2 / 2) for each a_r and integer lag j, shape (a.size, j.size).
+def _chirp_kernels(a: np.ndarray, lag: int, length: int, out: np.ndarray) -> np.ndarray:
+    """exp(i a_r j^2 / 2) for each a_r on the integer lags j = -lag ...
+    length - 1 - lag, written to out[:, :length] and zeros past them;
+    returns `out`.
 
     j^2 is the same for j and -j, so each row is evaluated once on the lags
-    0 ... max |j| and gathered by |j|: the same floating-point operations
+    0 ... max |j| and copied out by |j|: the same floating-point operations
     on the same operands, hence bit for bit the direct evaluation.
     """
-    lags = np.arange(np.abs(j).max() + 1)
-    return np.exp(0.5j * np.multiply.outer(a, lags**2))[:, np.abs(j)]
+    table = 0.5j * np.multiply.outer(a, np.arange(max(lag, length - 1 - lag) + 1) ** 2)
+    np.exp(table, out=table)
+    out[:, :lag] = table[:, lag:0:-1]
+    out[:, lag:length] = table[:, : length - lag]
+    out[:, length:] = 0.0
+    return out
 
 
-def _normalize_slices(values: np.ndarray, x_step: float) -> np.ndarray:
+def _normalize_slices(values: np.ndarray, x_step: float):
+    """`values` with each slice divided in place by its mass, and the masses;
+    with a mass at most 0.5 the values stay as they are, with a warning."""
     norms = integrate_samples(values, x_step)
     if np.any(norms <= 0.5):
         warnings.warn("tomogram slice mass far from 1; skipping renormalization", stacklevel=3)
-        return values
-    return values / norms[:, None]
+        return values, norms
+    values /= norms[:, None]
+    return values, norms
 
 
 def tomogram_from_wavefunction(
@@ -567,23 +595,34 @@ def tomogram_from_wavefunction(
     """
     x_grid = x_grid or DEFAULT_X_GRID
     vals = _transform_state_batch(psi.grid, psi.values[None, :], np.array([1.0]), x_grid, theta_count)
-    vals = _normalize_slices(vals, x_grid.step)
+    vals, _ = _normalize_slices(vals, x_grid.step)
     return Tomogram(x_grid=x_grid, theta_count=theta_count, values=vals)
 
 
 def spectral_components(rho: DensityMatrix):
-    """The cut of rho's spectrum that the forward transform and the Green route share.
+    """The components of rho that the forward transform and the Green route read.
 
-    Returns (states, weights, meta): the kept eigenvectors as L2-normalized
-    rows, their weights (eigenvalue times grid step, largest first) and the
-    meta keys `components`, `weight_kept` and `weight_dropped` (sums of
-    |weight|).  Rounding and reconstruction noise spread a Hermitian
-    matrix's eigenvalues on both sides of zero, so a positive weight no
-    larger than the most negative one's magnitude cannot be told apart from
-    that noise: kept are the positive weights above that magnitude and above
-    WEIGHT_FLOOR, at most MAX_COMPONENTS of them.  Negative weights summing
-    beyond NEGATIVE_WEIGHT_BOUND in magnitude raise InvalidInputError.
+    Returns (states, weights, meta): the meta keys `components`,
+    `weight_kept` and `weight_dropped` (sums of |weight|).  A matrix that
+    carries its `factors` returns them as they are, all kept: the
+    transform is bilinear in rho, so factors that are not orthonormal
+    serve as well as eigenvectors.  Any other matrix is diagonalized: the
+    kept eigenvectors as L2-normalized rows and their weights (eigenvalue
+    times grid step, largest first).  Rounding and reconstruction noise
+    spread a Hermitian matrix's eigenvalues on both sides of zero, so a
+    positive weight no larger than the most negative one's magnitude
+    cannot be told apart from that noise: kept are the positive weights
+    above that magnitude and above WEIGHT_FLOOR, at most MAX_COMPONENTS of
+    them.  Negative weights summing beyond NEGATIVE_WEIGHT_BOUND in
+    magnitude raise InvalidInputError.
     """
+    if rho.factors is not None:
+        states, weights = rho.factors
+        return states, weights, {
+            "components": int(weights.size),
+            "weight_kept": float(np.abs(weights).sum()),
+            "weight_dropped": 0.0,
+        }
     h = rho.grid.step
     evals, evecs = np.linalg.eigh(rho.values)
     weights = evals * h  # integral-operator eigenvalues, ascending
@@ -611,17 +650,21 @@ def tomogram_from_density(
 ) -> Tomogram:
     """Forward transform of a (possibly mixed) density matrix.
 
-    The bilinear transform is evaluated through the spectral decomposition
-    of rho: each eigenvector kept by `spectral_components` goes through the
-    pure-state transform and the tomogram is the weighted sum.  For a
-    pure-state projector this reduces exactly to the wavefunction route.
-    The meta records the cut's `components`, `weight_kept` and
-    `weight_dropped`.
+    The bilinear transform is evaluated on the components
+    `spectral_components` reads, rho's own factors when it carries them,
+    else its kept eigenvectors: each goes through the pure-state transform
+    and the tomogram is the weighted sum.  A pure-state projector made by
+    `density_from_wavefunction` carries its state, so this gives the
+    wavefunction route's values bit for bit.  The meta records the
+    components' `components`, `weight_kept` and `weight_dropped`, and the
+    smallest and largest slice mass before renormalization,
+    `slice_mass_min` and `slice_mass_max`.
     """
     x_grid = x_grid or DEFAULT_X_GRID
     states, weights, meta = spectral_components(rho)
     vals = _transform_state_batch(rho.grid, states, weights, x_grid, theta_count)
-    vals = _normalize_slices(vals, x_grid.step)
+    vals, norms = _normalize_slices(vals, x_grid.step)
+    meta.update(slice_mass_min=float(norms.min()), slice_mass_max=float(norms.max()))
     return Tomogram(x_grid=x_grid, theta_count=theta_count, values=vals, meta=meta)
 
 

@@ -418,7 +418,7 @@ def test_green_evolve_sidecar_carries_diagnostics(tmp_path, capsys):
     green = sidecars["green"]
     diagnostics = {
         "components", "weight_kept", "weight_dropped", "mu_band", "mu_edge_ratio", "accuracy_warning",
-        "input_grid", "output_grid",
+        "input_grid", "output_grid", "slice_mass_min", "slice_mass_max",
     }
     assert set(green) - set(sidecars["pullback"]) == diagnostics
     assert set(sidecars["pde"]) == set(sidecars["pullback"])
@@ -427,6 +427,7 @@ def test_green_evolve_sidecar_carries_diagnostics(tmp_path, capsys):
     # the ground state's slice characteristics fall to 1e-8 of their peak by |mu| = 8.6
     assert 8.5 < green["mu_band"] < 8.7 and 0.0 <= green["mu_edge_ratio"] <= 1e-8
     assert green["accuracy_warning"] is False
+    assert 0.99 < green["slice_mass_min"] <= green["slice_mass_max"] < 1.01
     for key in ("input_grid", "output_grid"):
         lower, upper, count = green[key]
         assert lower < 0.0 < upper and count >= 8

@@ -21,9 +21,9 @@ from tomoprop.propagator import (
     evolve_via_green,
     kernel_fourier,
 )
-from tomoprop.states import GaussianPacket, evolve_wavefunction, make_state
+from tomoprop.states import DensityMatrix, GaussianPacket, evolve_wavefunction, make_state, propagate_states
 from tomoprop import propagator, tomography
-from tomoprop.tomography import density_from_tomogram, tomogram_from_wavefunction
+from tomoprop.tomography import density_from_tomogram, tomogram_from_density, tomogram_from_wavefunction
 from tomoprop.transport import characteristic_flow, reduce_evolution_equation, solve_characteristics
 
 from kernel_oracle import kernel_fourier_2d
@@ -566,6 +566,45 @@ def test_reconstructed_packet_keeps_one_component(default_packet_tomogram):
     evolved = evolve_via_green(default_packet_tomogram, GreenFunction.oscillator(), 0.7)
     assert evolved.meta["components"] == 1
     assert evolved.meta["weight_kept"] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_green_route_records_the_slice_mass_it_renormalizes(default_packet_tomogram):
+    # under the inverted oscillator at t = 2 the evolved slices hold 1 - 9.12e-5
+    # of their mass before renormalization, the pullback's loss there too
+    potential = Potential(0.0, -0.2)
+    evolved = evolve_via_green(default_packet_tomogram, GreenFunction.for_potential(potential), 2.0)
+    pulled = evolve_pullback(default_packet_tomogram, potential, 2.0).slice_norms()
+    assert evolved.meta["slice_mass_min"] == pytest.approx(1.0 - 9.12e-5, abs=1e-7)
+    assert evolved.meta["slice_mass_min"] == pytest.approx(pulled.min(), abs=1e-7)
+    assert evolved.meta["slice_mass_min"] <= evolved.meta["slice_mass_max"] < 1.0
+    assert np.abs(evolved.slice_norms() - 1.0).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def mixed_tomogram():
+    """0.7 |0><0| + 0.3 |1><1| through the forward transform, which diagonalizes it."""
+    psi0, psi1 = make_state("ho:0"), make_state("ho:1")
+    values = 0.7 * np.outer(psi0.values, psi0.values.conj()) + 0.3 * np.outer(psi1.values, psi1.values.conj())
+    return tomogram_from_density(DensityMatrix(grid=psi0.grid, values=values))
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [FREE, OSCILLATOR, Potential(1.0, 0.0), Potential(0.0, -0.2), Potential(0.5, 0.3)],
+    ids=["free", "oscillator", "linear", "inverted", "general"],
+)
+def test_green_route_matches_the_chain_it_replaces(mixed_tomogram, potential):
+    # the route transforms the propagated eigenvectors with their weights; the
+    # chain rebuilds rho_t from them and diagonalizes it again
+    green = GreenFunction.for_potential(potential)
+    evolved = evolve_via_green(mixed_tomogram, green, 0.9)
+    states, weights, _ = vars(mixed_tomogram)["green_input"]
+    in_grid, out_grid = (UniformGrid(*evolved.meta[key]) for key in ("input_grid", "output_grid"))
+    propagated = propagate_states(states, in_grid, out_grid, green, 0.9)
+    rho_t = DensityMatrix(grid=out_grid, values=(propagated.T * weights) @ propagated.conj())
+    chain = tomogram_from_density(rho_t, mixed_tomogram.x_grid, mixed_tomogram.theta_count)
+    assert evolved.meta["components"] == chain.meta["components"] == 2
+    assert np.abs(evolved.values - chain.values).max() <= 1e-12
 
 
 def test_green_route_peak_memory(default_packet_tomogram):

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from scipy.signal import resample
 
 from tomoprop.errors import InvalidFrameError, InvalidInputError, NumericalDomainError
-from tomoprop.grids import UniformGrid, eval_spline, integrate_samples, refine_count, trapezoid_weights, upsample
+from tomoprop.grids import (
+    UniformGrid,
+    eval_spline,
+    fine_count,
+    integrate_samples,
+    refine_count,
+    trapezoid_weights,
+    upsample,
+)
 from tomoprop.states import (
     DensityMatrix,
     GaussianPacket,
@@ -25,6 +33,7 @@ from tomoprop.tomography import (
     _chirp_kernels,
     _fold_frames,
     _lagrange_weights,
+    _momentum_grid,
     _slice_characteristic,
     _slice_plan,
     _transform_state_batch,
@@ -139,6 +148,11 @@ def test_pure_density_route_matches_wavefunction_route():
     direct = tomogram_from_wavefunction(psi, X_GRID, THETA_COUNT)
     via_rho = tomogram_from_density(density_from_wavefunction(psi), X_GRID, THETA_COUNT)
     assert np.abs(direct.values - via_rho.values).max() < 1e-8
+    # the projector carries psi as its factor, so both run the same transform
+    assert direct.values.tobytes() == via_rho.values.tobytes()
+    # the same matrix without its factor is diagonalized
+    plain = DensityMatrix(grid=psi.grid, values=np.outer(psi.values, psi.values.conj()))
+    assert np.abs(direct.values - tomogram_from_density(plain, X_GRID, THETA_COUNT).values).max() < 1e-8
 
 
 def test_spectral_cut_records_kept_and_dropped_weight():
@@ -184,9 +198,11 @@ def test_tomogram_moments_of_a_squeezed_rotated_packet():
 
 
 def test_pure_projector_drops_no_weight():
-    tomo = tomogram_from_density(density_from_wavefunction(make_state("ho:0")), X_GRID, THETA_COUNT)
-    assert tomo.meta["weight_kept"] == pytest.approx(1.0, abs=1e-12)
-    assert tomo.meta["weight_dropped"] < 1e-12
+    rho = density_from_wavefunction(make_state("ho:0"))
+    for rho in (rho, DensityMatrix(grid=rho.grid, values=rho.values)):  # with and without its factor
+        tomo = tomogram_from_density(rho, X_GRID, THETA_COUNT)
+        assert tomo.meta["weight_kept"] == pytest.approx(1.0, abs=1e-12)
+        assert tomo.meta["weight_dropped"] < 1e-12
 
 
 def test_mixed_state_is_convex_combination():
@@ -652,10 +668,33 @@ def test_forward_transform_matches_dense_sum_for_signed_mixture(x_grid, theta_co
 def test_angle_pairs_cover_every_slice_once():
     # theta = 0 and pi/2 are their own partners
     for n, alone in ((180, [0, 90]), (181, [0]), (4000, [0, 2000])):
-        groups = _angle_pairs(n)
-        assert all(i == n - j for j, i in groups if i is not None)
-        assert [j for j, i in groups if i is None] == alone
-        assert sorted(k for g in groups for k in g if k is not None) == list(range(n))
+        first, pairs = _angle_pairs(n)
+        assert first[pairs:].tolist() == alone
+        assert sorted(first.tolist() + (n - first[:pairs]).tolist()) == list(range(n))
+
+
+def unit_sides_and_counts(grid, x_grid, theta_count):
+    """Each slice's side and own fine count, one unit at a time by the scalar
+    fine_count: the side whose count is smaller, the position side on a tie;
+    a side that cannot read the slice, or would need more than MAX_FINE, counts inf."""
+    theta = angle_grid(theta_count).points
+    h = grid.step
+    own = {}
+    for j in range(theta_count):
+        first = min(j, theta_count - j) if j else 0  # a unit's counts are its first slice's
+        mu, nu = abs(np.cos(theta[first])), np.sin(theta[first])
+        counts = []
+        for side_grid, scale, rate, band in (
+            (grid, nu, mu * grid.reach + x_grid.reach, np.pi / h),
+            (_momentum_grid(grid), mu, nu * np.pi / h + x_grid.reach, grid.reach),
+        ):
+            try:
+                counts.append(fine_count(side_grid, rate / scale, band) if scale else np.inf)
+            except NumericalDomainError:
+                counts.append(np.inf)
+        side = int(counts[1] < counts[0])
+        own[j] = side, counts[side]
+    return own
 
 
 @pytest.mark.parametrize("theta_count", [180, 9])
@@ -663,6 +702,7 @@ def test_angle_pairs_cover_every_slice_once():
 def test_slice_plan_reads_every_slice_once_within_the_block_budget(spec_grid, theta_count):
     grid = spec_grid or make_state("ho_ground").grid
     blocks = _slice_plan(grid, DEFAULT_X_GRID, theta_count, 2)
+    own = unit_sides_and_counts(grid, DEFAULT_X_GRID, theta_count)
     rows = [j for _, _, block_rows, _ in blocks for j in block_rows]
     assert sorted(rows) == list(range(theta_count))
     side = {j: s for s, _, block_rows, _ in blocks for j in block_rows}
@@ -675,6 +715,12 @@ def test_slice_plan_reads_every_slice_once_within_the_block_budget(spec_grid, th
         assert all(j + i == theta_count for j, i in zip(block_rows, partners))
         assert count >= grid.count
         assert kernels == 1 or _block_bytes(len(block_rows), kernels, count, 2, DEFAULT_X_GRID.count) <= _BLOCK_BYTES
+        # each slice on its own side, at the block's largest count, and a
+        # slice that needs no upsampling never runs in an upsampled block
+        assert {own[j][0] for j in block_rows} == {s}
+        assert count == max(own[j][1] for j in block_rows)
+        at_grid_count = [own[j][1] == grid.count for j in block_rows]
+        assert all(at_grid_count) or not any(at_grid_count)
 
 
 def test_forward_transform_refuses_only_when_both_sides_exceed_max_fine():
@@ -788,9 +834,31 @@ def test_forward_transform_evaluates_each_chirp_once():
         np.exp = exp
     assert sum(evaluated) == expected
 
+    # one component, as the Green route transforms it: one block a side, so
+    # the spectrum, each side's fine samples and each block's kernel FFT,
+    # FFT and inverse FFT make 9 batched FFT calls; five blocks made 21
+    calls = []
+
+    def counted_fft(transform):
+        def call(*args, **kwargs):
+            calls.append(transform)
+            return transform(*args, **kwargs)
+        return call
+
+    fft, ifft = np.fft.fft, np.fft.ifft
+    np.fft.fft, np.fft.ifft = counted_fft(fft), counted_fft(ifft)
+    try:
+        _transform_state_batch(grid, states[:1], np.array([1.0]), DEFAULT_X_GRID, DEFAULT_THETA_COUNT)
+    finally:
+        np.fft.fft, np.fft.ifft = fft, ifft
+    assert len(calls) == 9
+
     a = np.concatenate([-np.geomspace(1e-4, 3.0, 9), np.geomspace(1e-4, 3.0, 9)])
-    j = np.arange(count + n_x - 1) - (count - 1 - count // 2 + n_x // 2)
-    assert np.array_equal(_chirp_kernels(a, j), np.exp(0.5j * np.multiply.outer(a, j**2)))
+    lag = count - 1 - count // 2 + n_x // 2
+    j = np.arange(count + n_x - 1) - lag
+    padded = _chirp_kernels(a, lag, j.size, np.ones((a.size, j.size + 5), dtype=np.complex128))
+    assert np.array_equal(padded[:, : j.size], np.exp(0.5j * np.multiply.outer(a, j**2)))
+    assert not padded[:, j.size :].any()
 
 
 def lagrange_evaluate(tomo, X, mu, nu):
