@@ -9,7 +9,6 @@ characteristic flow of the tomographic transport equation.
 
 from .errors import (
     CausticError,
-    DegenerateBVPError,
     InvalidFrameError,
     InvalidInputError,
     NumericalDomainError,
@@ -23,20 +22,12 @@ from .greens import (
     OSCILLATOR,
     GreenFunction,
     Potential,
-    action_of_path,
     classical_flow,
-    classical_trajectory,
-    closed_action,
-    green_free,
-    green_oscillator,
-    green_sliced,
-    green_van_fleck,
 )
 from .grids import UniformGrid, integrate_samples, trapezoid_weights
 from .propagator import (
     ComparisonReport,
     KernelFourierQuery,
-    check_composition,
     compare_tomograms,
     evolve_pullback,
     evolve_via_green,

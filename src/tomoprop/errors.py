@@ -35,8 +35,4 @@ class SingularTimeError(NumericalDomainError):
 
 
 class CausticError(NumericalDomainError):
-    """Oscillator kernel undefined where sin t vanishes."""
-
-
-class DegenerateBVPError(NumericalDomainError):
-    """Classical boundary-value problem degenerates at a conjugate point."""
+    """Kernel undefined at a caustic, where m01 = dx(t)/dp(0) of the classical flow vanishes."""

@@ -244,13 +244,3 @@ def compare_tomograms(a: Tomogram, b: Tomogram) -> ComparisonReport:
         l2=float(np.sqrt(np.sum(diff**2) * hx * htheta)),
     )
 
-
-def check_composition(
-    potential: Potential, t_a: float, t_b: float, tomo: Tomogram
-) -> ComparisonReport:
-    """Operator-level composition check of the pullback route: evolve(t_a)
-    then evolve(t_b) versus evolve(t_a + t_b), reported as L-inf / L2 over
-    the grid."""
-    two = evolve_pullback(evolve_pullback(tomo, potential, t_a), potential, t_b)
-    one = evolve_pullback(tomo, potential, t_a + t_b)
-    return compare_tomograms(two, one)

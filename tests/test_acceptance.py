@@ -14,16 +14,10 @@ from tomoprop.greens import (
     OSCILLATOR,
     GreenFunction,
     Potential,
-    closed_action,
-    green_free,
-    green_oscillator,
-    green_sliced,
-    green_van_fleck,
 )
 from tomoprop.grids import UniformGrid
 from tomoprop.propagator import (
     KernelFourierQuery,
-    check_composition,
     compare_tomograms,
     evolve_pullback,
     evolve_via_green,
@@ -41,6 +35,8 @@ from tomoprop.transport import (
     reduce_evolution_equation,
     solve_characteristics,
 )
+
+from green_oracle import green_free, green_oscillator
 
 # evolved tomograms produced by criteria 3-5 and 9, checked for
 # slice-norm conservation by criterion 10
@@ -147,8 +143,8 @@ def test_criterion_4_stationarity_and_period(ground_tomo):
 def test_criterion_5_composition(packet_tomo):
     worst_pull = 0.0
     for potential in (FREE, OSCILLATOR):
-        rep = check_composition(potential, 0.5, 0.5, packet_tomo)
-        worst_pull = max(worst_pull, rep.linf)
+        two = evolve_pullback(evolve_pullback(packet_tomo, potential, 0.5), potential, 0.5)
+        worst_pull = max(worst_pull, compare_tomograms(two, evolve_pullback(packet_tomo, potential, 1.0)).linf)
     report("criterion 5a (pullback composition 0.5+0.5 vs 1.0)", worst_pull, 1e-10)
 
     two = evolve_via_green(
@@ -180,40 +176,50 @@ def test_criterion_6_kernel_scaling():
 def test_criterion_7_sliced_convergence():
     free_err = 0.0
     for slices in (1, 3, 16, 64, 256):
-        t = 0.45 if slices == 1 else 1.0
-        free_err = max(
-            free_err, abs(green_sliced(FREE, 0.7, -0.3, t, slices) - green_free(0.7, -0.3, t))
-        )
+        for t in {1: (0.45,), 3: (1.0,)}.get(slices, (1.0, 4.0)):  # slice width below 0.5
+            sliced = GreenFunction.sliced(FREE, slices)(0.7, -0.3, t)
+            free_err = max(free_err, abs(sliced - green_free(0.7, -0.3, t)))
     report("criterion 7a (sliced free-particle exactness)", free_err, 1e-12)
 
     counts = (32, 64, 128, 256)
-    errs = [
-        abs(green_sliced(OSCILLATOR, 1.0, 0.0, 1.0, n) - green_oscillator(1.0, 0.0, 1.0))
-        for n in counts
-    ]
-    slope = -float(np.polyfit(np.log(counts), np.log(errs), 1)[0])
-    ok = 0.8 <= slope <= 1.2
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion 7b (oscillator slicing order): slope {slope:.3f} in [0.8, 1.2]")
-    assert ok
+    # t = 1 against the closed form; t = 4, past the caustic at pi, against the flow kernel
+    for t, exact in ((1.0, green_oscillator(1.0, 0.0, 1.0)), (4.0, GreenFunction.oscillator()(1.0, 0.0, 4.0))):
+        errs = [abs(GreenFunction.sliced(OSCILLATOR, n)(1.0, 0.0, t) - exact) for n in counts]
+        slope = -float(np.polyfit(np.log(counts), np.log(errs), 1)[0])
+        ok = 0.8 <= slope <= 1.2
+        print(f"[{'PASS' if ok else 'FAIL'}] criterion 7b (oscillator slicing order, t = {t:g}): slope {slope:.3f} in [0.8, 1.2]")
+        assert ok
+
+
+def _flow_form(green, x, y, t):
+    """The kernel's quadratic phase A x^2 + B x y + C y^2 + D x + E y and its amplitude."""
+    amp, a, b, c, d, e = green.quadratic_form(t)
+    return a * x**2 + b * x * y + c * y**2 + d * x + e * y, amp
 
 
 def test_criterion_8_van_fleck():
     xs = np.linspace(-1.5, 1.5, 5)
     free_err = osc_err = 0.0
-    for t in (0.4, 0.9, 1.6):
-        vf = green_van_fleck(FREE, xs[:, None], xs[None, :], t)
+    for t in (0.4, 0.9, 1.6, 4.0, 5.5, 7.0, -4.0):  # caustics at multiples of pi
+        vf = GreenFunction.van_fleck(FREE)(xs[:, None], xs[None, :], t)
         free_err = max(free_err, float(np.abs(vf - green_free(xs[:, None], xs[None, :], t)).max()))
-        vo = green_van_fleck(OSCILLATOR, xs[:, None], xs[None, :], t)
+        vo = GreenFunction.van_fleck(OSCILLATOR)(xs[:, None], xs[None, :], t)
         osc_err = max(osc_err, float(np.abs(vo - green_oscillator(xs[:, None], xs[None, :], t)).max()))
-    report("criterion 8a (van Vleck free exactness, 5x5x3)", free_err, 1e-10)
-    report("criterion 8b (van Vleck oscillator exactness, 5x5x3)", osc_err, 1e-6)
+    report("criterion 8a (van Vleck free exactness, 5x5x7)", free_err, 1e-10)
+    report("criterion 8b (van Vleck oscillator exactness, 5x5x7)", osc_err, 1e-6)
 
+    # the action is the phase of the flow kernel, A x^2 + B x y + C y^2 + D x + E y
+    # + S(0, 0, t); the amplitude's Maslov part is constant between caustics,
+    # so its phase's time derivative is that of S(0, 0, t).  t = 5.5 is past
+    # the first caustic of both oscillators (pi and pi / sqrt(0.6) = 4.06)
     h = 1e-5
     hj = 0.0
     for pot in (FREE, OSCILLATOR, Potential(1.0, 0.0), Potential(1.0, 0.3)):
-        for x2, x1, t in [(0.8, -0.4, 0.7), (1.5, 0.2, 1.3)]:
-            st_ = (closed_action(pot, x2, x1, t + h) - closed_action(pot, x2, x1, t - h)) / (2 * h)
-            sx = (closed_action(pot, x2 + h, x1, t) - closed_action(pot, x2 - h, x1, t)) / (2 * h)
+        green = GreenFunction.van_fleck(pot)
+        for x2, x1, t in [(0.8, -0.4, 0.7), (1.5, 0.2, 1.3), (0.8, -0.4, 5.5)]:
+            (s_plus, amp_plus), (s_minus, amp_minus) = (_flow_form(green, x2, x1, t + d) for d in (h, -h))
+            st_ = (s_plus - s_minus + np.angle(amp_plus / amp_minus)) / (2 * h)
+            sx = (_flow_form(green, x2 + h, x1, t)[0] - _flow_form(green, x2 - h, x1, t)[0]) / (2 * h)
             hj = max(hj, abs(float(st_ + 0.5 * sx**2 + pot(x2))))
     report("criterion 8c (Hamilton-Jacobi residual)", hj, 1e-4)
 

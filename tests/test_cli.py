@@ -24,6 +24,8 @@ from tomoprop.greens import FREE, OSCILLATOR
 from tomoprop.grids import MAX_FINE
 from tomoprop.tomography import density_from_tomogram
 
+from green_oracle import green_free, green_oscillator
+
 FAST = ["--theta-count", "48", "--x-count", "101"]
 
 
@@ -335,11 +337,42 @@ def test_green_subcommand_values(tmp_path, capsys):
     assert code == EXIT_OK
     header, data = tio.read_grid_csv(out)
     assert header == ["x", "y", "t", "re", "im"]
-    from tomoprop.greens import green_free
-
     row = data[0]
     expected = green_free(row[0], row[1], row[2])
     assert abs(complex(row[3], row[4]) - expected) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv, t",
+    [
+        (["--kind", "oscillator"], 4.0),
+        (["--kind", "van-fleck", "--potential", "harmonic"], 4.0),
+        (["--kind", "van-fleck", "--potential", "harmonic"], -0.7),
+        (["--kind", "oscillator"], -4.0),
+    ],
+    ids=["oscillator-4", "van-fleck-4", "van-fleck-backwards", "oscillator-backwards-4"],
+)
+def test_green_subcommand_past_the_caustic_and_backwards(tmp_path, capsys, argv, t):
+    # past the caustic at pi every value read -1 (oscillator) or +i (van Vleck)
+    # times Mehler's; a negative van Vleck time exited 2
+    out = tmp_path / "g.csv"
+    code, _, err = run(["green", *argv, f"--t={t!r}", "--pos-count", "16", "-o", str(out)], capsys)
+    assert code == EXIT_OK, err
+    _, data = tio.read_grid_csv(out)
+    expected = green_oscillator(data[:, 0], data[:, 1], t)
+    assert np.abs(data[:, 3] + 1j * data[:, 4] - expected).max() < 1e-12
+
+
+def test_green_route_runs_backwards(tmp_path, capsys):
+    # exited 2 ("van-fleck kernel requires t > 0") before the one time rule
+    paths = {}
+    for route in ("green", "pullback"):
+        paths[route] = tmp_path / f"{route}.csv"
+        argv = ["evolve", "--state", "gaussian:1,0.5,1", "--route", route, "--potential", "alpha=0.5,beta=0.3",
+                "--t=-0.7", "-o", str(paths[route])]
+        assert run(argv + FAST, capsys)[0] == EXIT_OK
+    code, out, _ = run(["compare", str(paths["green"]), str(paths["pullback"]), "--tol", "1e-3"], capsys)
+    assert code == EXIT_OK, out
 
 
 def test_kernel_subcommand(tmp_path, capsys):

@@ -15,7 +15,6 @@ from tomoprop.propagator import (
     TAIL_SDS,
     KernelFourierQuery,
     _pullback_frame_matrix,
-    check_composition,
     compare_tomograms,
     evolve_pullback,
     evolve_via_green,
@@ -61,8 +60,8 @@ def test_pullback_oscillator_matches_schroedinger_evolution(packet_tomogram):
 
 def test_pullback_composition_exact(packet_tomogram):
     for potential in (FREE, OSCILLATOR):
-        report = check_composition(potential, 0.5, 0.5, packet_tomogram)
-        assert report.linf < 1e-10
+        two = evolve_pullback(evolve_pullback(packet_tomogram, potential, 0.5), potential, 0.5)
+        assert compare_tomograms(two, evolve_pullback(packet_tomogram, potential, 1.0)).linf < 1e-10
 
 
 def test_pullback_invertible(packet_tomogram):
@@ -508,6 +507,30 @@ def test_green_route_matches_pullback_where_a_fixed_grid_failed(default_packet_t
     evolved = evolve_via_green(default_packet_tomogram, GreenFunction.for_potential(potential), t)
     assert compare_tomograms(evolved, evolve_pullback(default_packet_tomogram, potential, t)).linf < 1e-3
     assert evolved.meta["accuracy_warning"] is False
+
+
+@pytest.mark.parametrize("beta", [1e-12, -1e-12, 1e-8, -1e-8])
+def test_green_route_at_small_beta_reads_what_it_reads_at_zero(default_packet_tomogram, beta):
+    # the vertex-shifted closed action lost its digits here: at beta = 1e-8 the
+    # route read 0.201 against the pullback where beta = 0 reads 7.7e-5; now
+    # the gap moves by 1.1e-11 and the tomogram by 1.6e-8
+    def route_and_gap(potential):
+        evolved = evolve_via_green(default_packet_tomogram, GreenFunction.for_potential(potential), 0.9)
+        return evolved, compare_tomograms(evolved, evolve_pullback(default_packet_tomogram, potential, 0.9)).linf
+
+    (near, near_gap), (zero, zero_gap) = (route_and_gap(Potential(1.0, b)) for b in (beta, 0.0))
+    assert abs(near_gap - zero_gap) < 1e-9
+    assert np.abs(near.values - zero.values).max() < 1e-6
+
+
+@pytest.mark.parametrize(
+    "potential, t",
+    [(FREE, -0.7), (Potential(0.5, 0.3), -0.7), (OSCILLATOR, 4.0), (OSCILLATOR, -4.0), (Potential(0.5, 0.3), 5.5)],
+)
+def test_green_route_runs_backwards_and_past_caustics(default_packet_tomogram, potential, t):
+    # criterion 3's bound; these read 3.2e-5 to 5.6e-5
+    evolved = evolve_via_green(default_packet_tomogram, GreenFunction.for_potential(potential), t)
+    assert compare_tomograms(evolved, evolve_pullback(default_packet_tomogram, potential, t)).linf < 1e-3
 
 
 def _flowed_gaussian_tomogram(tomo, x0, p0, sigma, potential, t):
